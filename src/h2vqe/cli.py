@@ -22,7 +22,13 @@ import numpy as np
 
 from . import fixtures
 from .pauli import eigenvalues, group_terms, to_dense
-from .sim import CountsVector, counts_to_dict, load_counts, save_counts
+from .sim import (
+    CountsVector,
+    counts_from_dict,
+    counts_to_dict,
+    load_counts,
+    save_counts,
+)
 from .similarity import (
     EnergyBands,
     batch_average_similarity,
@@ -369,9 +375,7 @@ def cmd_batch(args) -> int:
                 counts_dir, f"run{record.run_index:04d}_g{doc['group_id']}.json"
             )
             save_counts(path, doc)
-            cv = CountsVector(
-                tuple(_internal_order(doc)), doc["shots"]
-            )
+            cv = counts_from_dict(doc)[0]
             by_group.setdefault(doc["group_id"], []).append((record, doc, cv))
 
     sim_rows = []
@@ -412,18 +416,6 @@ def cmd_batch(args) -> int:
     n_failed = sum(1 for r in records if r.status.startswith("failed"))
     print(f"{len(records)} runs ({n_failed} failed) -> {args.out_dir}")
     return 0
-
-
-def _internal_order(doc: dict) -> list[int]:
-    """Counts of a just-written document back in internal index order."""
-    from .sim import bit_reversal_permutation
-
-    raw = doc["counts"]
-    if doc["bit_order"] == "q0_rightmost":
-        return list(raw)
-    n = doc["n_qubits"]
-    perm = bit_reversal_permutation(n)
-    return [raw[perm[i]] for i in range(len(raw))]
 
 
 def _counts_inputs(args) -> list[tuple[str, CountsVector, tuple[str, ...], dict]]:

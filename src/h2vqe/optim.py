@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -138,11 +138,7 @@ class OptimizerConfig:
         return cls(**norm)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
@@ -439,7 +435,3 @@ _DISPATCH = {
 def minimize(f, x0, cfg: OptimizerConfig, seed=None):
     """Run the configured method; returns (x_best, f_best, Trace)."""
     return _DISPATCH[cfg.method](f, x0, cfg, seed=seed)
-
-
-def with_method(cfg: OptimizerConfig, method: str) -> OptimizerConfig:
-    return replace(cfg, method=method)

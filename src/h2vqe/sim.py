@@ -1,12 +1,13 @@
-"""Statevector simulation, shot sampling, and stochastic noise injection.
+"""Statevector and density-matrix simulation, shot sampling, and noise.
 
 Basis index ``i`` encodes qubit ``k`` in bit ``k`` (qubit 0 least
-significant). Noise is simulated per shot: depolarizing gate errors insert
-a uniformly random Pauli after the faulty gate, readout errors flip each
-measured bit independently. Shots whose trajectory carries no insertion are
-sampled together from the ideal distribution; shots sharing an insertion
-pattern share one replayed trajectory, which is distribution-identical to
-replaying every shot separately.
+significant). Gate errors are the depolarizing channel after every gate,
+applied exactly to the density matrix; without them the circuit runs as a
+statevector. Either path yields one outcome distribution, and every noise
+arm samples it the same way: one multinomial over all shots, then readout
+errors flip each measured bit independently. Shots are i.i.d., so this has
+the distribution of per-shot trajectories that insert a random Pauli after
+a faulty gate.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ DEFAULT_READOUT = (0.02, 0.02)
 BIT_ORDER_TAGS = ("q0_rightmost", "q0_leftmost")
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_PAULI_MATRICES = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -163,6 +159,11 @@ class NoiseModel:
             )
         arr = np.array(pairs, dtype=float)
         return arr[:, 0], arr[:, 1]
+
+    @property
+    def gate_active(self) -> bool:
+        """Whether gate errors can fire, which selects the density-matrix path."""
+        return self.gate_enabled and (self.p1 > 0 or self.p2 > 0)
 
     @classmethod
     def ideal(cls) -> "NoiseModel":
@@ -313,45 +314,34 @@ def sample_counts(
     return _sample(probs, shots, _as_rng(seed), noise, n)
 
 
-def _error_slots(circuit: Circuit, noise: NoiseModel) -> list[tuple[int, int, float]]:
-    """(gate index, qubit, insertion probability) per depolarizing chance."""
-    slots = []
-    for i, g in enumerate(circuit.gates):
-        if g.name == "cx":
-            slots.append((i, g.qubits[0], noise.p2))
-            slots.append((i, g.qubits[1], noise.p2))
-        else:
-            slots.append((i, g.qubits[0], noise.p1))
-    return slots
+def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Density matrix of the circuit from |0...0> under depolarizing noise.
 
-
-def _replay_with_insertions(
-    prefix_states: list[np.ndarray],
-    circuit: Circuit,
-    insertions: list[tuple[int, int, int]],
-) -> np.ndarray:
-    """Final probabilities of one trajectory.
-
-    ``insertions`` is [(gate index, qubit, pauli index)] sorted by gate
-    index; the Pauli acts right after its gate. Replay resumes from the
-    cached state just after the first faulty gate.
+    Each gate maps rho to U rho U^dagger; then every qubit it touches goes
+    through rho -> (1 - p) rho + (p/3) sum_P P rho P over P in {X, Y, Z},
+    with p = p1 after one-qubit gates and p = p2 after a CX.
     """
-    first = insertions[0][0]
-    state = prefix_states[first + 1]
     n = circuit.n_qubits
-    pos = 0
-    while pos < len(insertions) and insertions[pos][0] == first:
-        _, q, p = insertions[pos]
-        state = _apply_single(state, _PAULI_MATRICES[p], q, n)
-        pos += 1
-    for gi in range(first + 1, len(circuit.gates)):
-        state = apply_gate(state, circuit.gates[gi], n)
-        while pos < len(insertions) and insertions[pos][0] == gi:
-            _, q, p = insertions[pos]
-            state = _apply_single(state, _PAULI_MATRICES[p], q, n)
-            pos += 1
-    probs = np.abs(state) ** 2
-    return probs / probs.sum()
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        rho = apply_gate(apply_gate(rho, gate, n).conj().T, gate, n)
+        p = noise.p2 if gate.name == "cx" else noise.p1
+        if noise.gate_enabled and p > 0:
+            for q in gate.qubits:
+                rho = _depolarize(rho, q, p, n)
+    return rho
+
+
+def _depolarize(rho: np.ndarray, q: int, p: float, n: int) -> np.ndarray:
+    """(1 - 4p/3) rho + (4p/3) Tr_q(rho) (x) I/2, the same channel as above."""
+    i0 = _lower_indices(n, q)
+    b0, b1 = np.ix_(i0, i0), np.ix_(i0 + (1 << q), i0 + (1 << q))
+    half_trace = rho[b0] + rho[b1]
+    out = (1.0 - 4.0 * p / 3.0) * rho
+    out[b0] += (2.0 * p / 3.0) * half_trace
+    out[b1] += (2.0 * p / 3.0) * half_trace
+    return out
 
 
 def run_noisy(
@@ -359,69 +349,22 @@ def run_noisy(
 ) -> CountsVector:
     """Shot-sampled circuit execution under the given noise model.
 
-    With gate errors inert (channel disabled or both probabilities zero)
-    this consumes randomness exactly like
-    ``sample_counts(apply_circuit(zero_state(n), circuit), ...)`` and so
-    returns identical counts for the same seed. Otherwise the draw order
-    is: the per-shot/per-slot insertion coin matrix, then Pauli choices per
-    faulty shot (ascending shot, then slot), one multinomial for the
-    fault-free shots, one multinomial per distinct insertion pattern in
-    first-appearance order, and finally the readout-flip uniforms per qubit.
+    The outcome distribution is diag(rho) of :func:`density_matrix` when
+    gate noise is active (enabled with p1 or p2 nonzero), and
+    |amplitude|^2 of the statevector otherwise. Every noise arm then draws
+    in the same order as :func:`sample_counts`: one multinomial over
+    outcomes, then the readout-flip uniforms per qubit. So with gate noise
+    inert this returns the counts of
+    ``sample_counts(statevector(circuit), ...)`` for the same seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = circuit.n_qubits
-    rng = _as_rng(seed)
-    gate_active = (
-        noise.gate_enabled
-        and (noise.p1 > 0 or noise.p2 > 0)
-        and len(circuit.gates) > 0
-    )
-    if not gate_active:
-        state = apply_circuit(zero_state(n), circuit)
-        return _sample(np.abs(state) ** 2, shots, rng, noise, n)
-
-    slots = _error_slots(circuit, noise)
-    slot_probs = np.array([p for _, _, p in slots])
-    fire = rng.random((shots, len(slots))) < slot_probs
-    faulty = np.nonzero(fire.any(axis=1))[0]
-
-    patterns: dict[tuple, list[int]] = {}
-    for si in faulty:
-        fired = np.nonzero(fire[si])[0]
-        paulis = rng.integers(0, 3, size=fired.size)
-        key = tuple(zip(fired.tolist(), paulis.tolist()))
-        patterns.setdefault(key, []).append(int(si))
-
-    prefix_states = [zero_state(n)]
-    for gate in circuit.gates:
-        prefix_states.append(apply_gate(prefix_states[-1], gate, n))
-    ideal_probs = np.abs(prefix_states[-1]) ** 2
-    ideal_probs /= ideal_probs.sum()
-
-    dim = 2**n
-    n_idle = shots - len(faulty)
-    pieces = [
-        np.repeat(
-            np.arange(dim, dtype=np.int64), rng.multinomial(n_idle, ideal_probs)
-        )
-        if n_idle
-        else np.empty(0, dtype=np.int64)
-    ]
-    for key, members in patterns.items():
-        insertions = [(slots[sl][0], slots[sl][1], p) for sl, p in key]
-        probs = _replay_with_insertions(prefix_states, circuit, insertions)
-        pieces.append(
-            np.repeat(
-                np.arange(dim, dtype=np.int64),
-                rng.multinomial(len(members), probs),
-            )
-        )
-    outcomes = np.concatenate(pieces)
-    if noise.readout_enabled:
-        outcomes = _apply_readout_flips(outcomes, rng, noise, n)
-    counts = np.bincount(outcomes, minlength=dim)
-    return CountsVector(tuple(int(c) for c in counts), shots)
+    if noise.gate_active:
+        # rounding can leave diagonal entries a hair below zero
+        probs = np.maximum(density_matrix(circuit, noise).diagonal().real, 0.0)
+    else:
+        probs = np.abs(statevector(circuit)) ** 2
+    return _sample(probs, shots, _as_rng(seed), noise, circuit.n_qubits)
 
 
 def counts_to_dict(

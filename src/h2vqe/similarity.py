@@ -16,8 +16,6 @@ import numpy as np
 
 from .sim import CountsVector
 
-MEASURES = ("jt", "sqrtdot")
-
 GROUND_BASIN = (-1.90, -1.70)
 EXCITED_BAND = (-1.30, -1.20)
 
@@ -104,14 +102,3 @@ def classify_energy(energy: float, bands: EnergyBands | None = None) -> str:
     if bands.excited[0] <= energy <= bands.excited[1]:
         return BAND_EXCITED
     return BAND_ERRONEOUS
-
-
-@dataclass(frozen=True)
-class SimilarityProfile:
-    """Batch-averaged similarities of one run's counts for one circuit."""
-
-    energy: float
-    avg_jt: float
-    avg_sqrt_dot: float
-    band: str
-    group_id: int

@@ -26,6 +26,7 @@ from .optim import (
     minimize,
 )
 from .pauli import (
+    DENSE_QUBIT_CAP,
     Hamiltonian,
     MeasurementGroup,
     PauliTerm,
@@ -207,6 +208,12 @@ class VqeConfig:
             raise ValueError(
                 f"initial_params must be 'uniform' or 'zeros', "
                 f"got {self.initial_params!r}"
+            )
+        if self.noise.gate_active and self.ansatz.n_qubits > DENSE_QUBIT_CAP:
+            # the gate-noise density matrix holds 4^n complex entries
+            raise ValueError(
+                f"gate noise is limited to {DENSE_QUBIT_CAP} qubits, "
+                f"got a {self.ansatz.n_qubits}-qubit ansatz"
             )
 
     @classmethod

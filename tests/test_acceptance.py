@@ -16,6 +16,7 @@ import h2vqe as hv
 from h2vqe import fixtures
 from h2vqe.cli import main as cli_main
 from h2vqe.optim import OptimizerConfig, minimize
+from h2vqe.sim import density_matrix
 from h2vqe.similarity import batch_average_similarity, jt_index, sqrt_dot
 from h2vqe.vqe import BitOrder, EnergyEvaluator, energy_from_counts
 
@@ -240,6 +241,37 @@ def test_criterion_8c_variational_bound_analytic():
         8,
         worst >= lam_min - 1e-9,
         f"analytic minimum over samples {worst:.6f} >= {lam_min:.6f} - 1e-9",
+    )
+
+
+def test_criterion_8f_variational_bound_gate_noise():
+    rng = np.random.default_rng(109)
+    noises = (
+        hv.NoiseModel(gate_enabled=True),
+        hv.NoiseModel(gate_enabled=True, p1=0.05, p2=0.2),
+    )
+    worst_defect, worst_gap = 0.0, math.inf
+    for ham in (hv.h2_4qubit(), hv.h2_2qubit()):
+        h_dense = hv.to_dense(ham)
+        lam_min = float(hv.eigenvalues(h_dense)[0])
+        spec = hv.AnsatzSpec("ry", "linear", 2, ham.n_qubits)
+        for _ in range(25):
+            params = rng.uniform(-np.pi, np.pi, hv.parameter_count(spec))
+            for noise in noises:
+                rho = density_matrix(hv.build_circuit(spec, params), noise)
+                worst_defect = max(
+                    worst_defect,
+                    abs(np.trace(rho) - 1.0),
+                    float(np.abs(rho - rho.conj().T).max()),
+                    -float(np.linalg.eigvalsh(rho)[0]),
+                )
+                energy = float(np.trace(rho @ h_dense).real)
+                worst_gap = min(worst_gap, energy - lam_min)
+    report(
+        8,
+        worst_defect <= 1e-10 and worst_gap >= -1e-9,
+        f"gate-noise rho: trace/Hermitian/PSD defect {worst_defect:.1e}, "
+        f"min tr(rho H) - lambda_min {worst_gap:.6f} >= -1e-9 on 4q and 2q",
     )
 
 

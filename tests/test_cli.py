@@ -118,6 +118,19 @@ class TestRun:
         assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
         assert "basis" in capsys.readouterr().err
 
+    def test_gate_noise_over_qubit_cap_exit_2(self, tmp_path, capsys):
+        doc = small_vqe_config(
+            ansatz={"form": "ry", "entanglement": "linear", "reps": 2,
+                    "n_qubits": 11},
+            noise={"gate_errors": True},
+        )
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert "gate noise is limited" in capsys.readouterr().err
+        batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
+        assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
+        assert not os.path.exists(tmp_path / "runs.csv")
+
     def test_seed_override(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", small_vqe_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"

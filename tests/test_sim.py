@@ -11,9 +11,11 @@ from h2vqe.sim import (
     CountsVector,
     NoiseModel,
     apply_circuit,
+    apply_gate,
     bit_reversal_permutation,
     counts_from_dict,
     counts_to_dict,
+    density_matrix,
     merge_counts,
     post_rotations,
     probabilities,
@@ -27,6 +29,12 @@ BELL = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
 
 # chi-squared criticals for p = 0.001 (df -> value)
 CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266}
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def binomial_within_5_sigma(observed, n, p):
@@ -192,11 +200,81 @@ class TestRunNoisy:
         cv = run_noisy(circ, 9000, seed=41, noise=noise)
         assert binomial_within_5_sigma(cv.counts[1], 9000, 2.0 / 3.0)
 
+    def test_rounding_below_zero_is_sampled(self):
+        # an undone rotation with no error on it leaves diag(rho)[1] ~ -3e-17
+        circ = Circuit(1, (Gate("ry", (0,), 2.0), Gate("ry", (0,), -2.0)))
+        noise = NoiseModel(gate_enabled=True, p1=0.0, p2=0.1)
+        assert density_matrix(circ, noise).diagonal().real[1] < 0
+        assert run_noisy(circ, 64, seed=1, noise=noise).counts == (64, 0)
+
     def test_gate_noise_shifts_bell(self):
         noise = NoiseModel(gate_enabled=True, p1=0.05, p2=0.05)
         cv = run_noisy(BELL, 8192, seed=43, noise=noise)
         # forbidden outcomes appear once depolarizing is on
         assert cv.counts[1] + cv.counts[2] > 0
+
+
+def on_qubit(m, q, n):
+    """Full 2^n operator of one-qubit matrix m on qubit q (qubit 0 lowest)."""
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), m), np.eye(2**q))
+
+
+def trajectory_counts(circuit, p1, p2, shots, rng):
+    """Reference sampler: one Pauli-insertion trajectory per shot.
+
+    After each gate, every qubit it touches independently suffers an
+    error with probability p1 (one-qubit gate) or p2 (CX); an error is a
+    uniformly random X, Y or Z. Each shot is then measured once.
+    """
+    n = circuit.n_qubits
+    states = np.zeros((2**n, shots), dtype=complex)  # one column per shot
+    states[0] = 1.0
+    for gate in circuit.gates:
+        states = apply_gate(states, gate, n)
+        p = p2 if gate.name == "cx" else p1
+        for q in gate.qubits:
+            fire = rng.random(shots) < p
+            which = rng.integers(0, 3, shots)
+            for k, pauli in enumerate(PAULIS):
+                hit = fire & (which == k)
+                states[:, hit] = on_qubit(pauli, q, n) @ states[:, hit]
+    cdf = np.cumsum(np.abs(states) ** 2, axis=0)
+    outcomes = (cdf < rng.random(shots)).sum(axis=0)
+    return np.bincount(np.minimum(outcomes, 2**n - 1), minlength=2**n)
+
+
+class TestDensityMatrix:
+    def test_certain_error_closed_form(self):
+        # X and Y send |0> to |1>, Z keeps it: diag = [1/3, 2/3]
+        circ = Circuit(1, (Gate("ry", (0,), 0.0),))
+        rho = density_matrix(circ, NoiseModel(gate_enabled=True, p1=1.0))
+        assert np.allclose(rho.diagonal(), [1 / 3, 2 / 3], rtol=0, atol=1e-15)
+        assert np.allclose(rho, np.diag([1 / 3, 2 / 3]), rtol=0, atol=1e-15)
+
+    def test_zero_probabilities_give_pure_state(self):
+        circ = build_circuit(AnsatzSpec(), np.linspace(0.2, 1.4, 12))
+        noise = NoiseModel(gate_enabled=True, p1=0.0, p2=0.0)
+        state = statevector(circ)
+        rho = density_matrix(circ, noise)
+        assert np.allclose(rho.diagonal().real, np.abs(state) ** 2, atol=1e-12)
+        assert np.allclose(rho, np.outer(state, state.conj()), atol=1e-12)
+
+    def test_diagonal_matches_trajectories(self):
+        # 2 qubits, every gate kind, p = 0.05 on every error slot
+        circ = Circuit(2, (
+            Gate("ry", (0,), 0.7), Gate("ry", (1,), -1.2), Gate("cx", (0, 1)),
+            Gate("h", (1,)), Gate("rz", (0,), 0.4), Gate("cx", (1, 0)),
+            Gate("ry", (0,), 0.3),
+        ))
+        noise = NoiseModel(gate_enabled=True, p1=0.05, p2=0.05)
+        probs = density_matrix(circ, noise).diagonal().real
+        shots = 200_000
+        observed = trajectory_counts(
+            circ, 0.05, 0.05, shots, np.random.default_rng(47)
+        )
+        expected = shots * probs
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < CHI2_CRIT[3]
 
 
 class TestCountsVector:

@@ -9,7 +9,13 @@ import h2vqe.vqe as vqe_mod
 from h2vqe import fixtures
 from h2vqe.ansatz import AnsatzSpec
 from h2vqe.optim import OptimizerConfig
-from h2vqe.pauli import PauliString, PauliTerm, group_terms, h2_4qubit
+from h2vqe.pauli import (
+    DENSE_QUBIT_CAP,
+    PauliString,
+    PauliTerm,
+    group_terms,
+    h2_4qubit,
+)
 from h2vqe.sim import CountsVector, NoiseModel
 from h2vqe.vqe import (
     BitOrder,
@@ -319,7 +325,9 @@ class TestVqeConfig:
         cfg = VqeConfig(
             hamiltonian="2q",
             ansatz=AnsatzSpec("ryrz", "circular", 1, 2),
-            optimizer=OptimizerConfig(method="powell", max_iterations=9),
+            optimizer=OptimizerConfig(
+                method="powell", max_iterations=9, spsa_a=0.5
+            ),
             shots=1024,
             noise=NoiseModel(readout_enabled=True),
             seed=77,
@@ -331,6 +339,17 @@ class TestVqeConfig:
         assert back.shots == 1024
         assert back.noise.readout_enabled
         assert back.seed == 77
+        assert back == cfg
+
+    def test_gate_noise_qubit_cap(self):
+        wide = AnsatzSpec(n_qubits=DENSE_QUBIT_CAP + 1)
+        with pytest.raises(ValueError, match="qubits"):
+            VqeConfig(ansatz=wide, noise=NoiseModel(gate_enabled=True))
+        VqeConfig(ansatz=wide, noise=NoiseModel(readout_enabled=True))
+        VqeConfig(
+            ansatz=AnsatzSpec(n_qubits=DENSE_QUBIT_CAP),
+            noise=NoiseModel(gate_enabled=True),
+        )
 
     def test_missing_shots_defaults(self):
         cfg = VqeConfig.from_dict({"seed": 5})
