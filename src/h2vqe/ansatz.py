@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fields import read
+
 FORMS = ("ry", "ryrz")
 ENTANGLEMENTS = ("linear", "circular", "full")
 
@@ -89,10 +91,10 @@ class AnsatzSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "AnsatzSpec":
         return cls(
-            form=str(doc.get("form", "ry")).lower(),
-            entanglement=str(doc.get("entanglement", "linear")).lower(),
-            reps=int(doc.get("reps", 2)),
-            n_qubits=int(doc.get("n_qubits", 4)),
+            form=read(doc, "form", str, "ry").lower(),
+            entanglement=read(doc, "entanglement", str, "linear").lower(),
+            reps=read(doc, "reps", int, 2),
+            n_qubits=read(doc, "n_qubits", int, 4),
         )
 
     def to_dict(self) -> dict:

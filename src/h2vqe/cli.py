@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fixtures
+from .fields import check, read
 from .pauli import eigenvalues, group_terms, to_dense
 from .sim import (
     CountsVector,
@@ -61,15 +63,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        check(doc, dict, "experiment config")
         known = {"vqe", "n_runs", "base_seed", "emit_svg"}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
         return cls(
-            vqe=VqeConfig.from_dict(doc.get("vqe", {})),
-            n_runs=int(doc.get("n_runs", 50)),
-            base_seed=int(doc.get("base_seed", 0)),
-            emit_svg=bool(doc.get("emit_svg", False)),
+            vqe=VqeConfig.from_dict(read(doc, "vqe", dict, {})),
+            n_runs=read(doc, "n_runs", int, 50),
+            base_seed=read(doc, "base_seed", int, 0),
+            emit_svg=read(doc, "emit_svg", bool, False),
         )
 
 
@@ -179,28 +182,24 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
 # ---------------------------------------------------------------- output --
 
 
-def _csv_header_lines(no_timestamp: bool) -> list[str]:
-    if no_timestamp:
-        return []
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [f"# generated {stamp}"]
-
-
 def _write_csv(path: str, header: list[str], rows, no_timestamp: bool) -> None:
-    lines = _csv_header_lines(no_timestamp)
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Quote only fields that need it, such as a noise label with a comma."""
+    with open(path, "w", newline="") as fh:
+        if not no_timestamp:
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            fh.write(f"# generated {stamp}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
     """Header and rows of a CSV written by this module, comments skipped."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    with open(path, newline="") as fh:
+        rows = [
+            row for row in csv.reader(fh) if row and not row[0].startswith("#")
+        ]
+    return rows[0], rows[1:]
 
 
 def write_svg_scatter(
@@ -310,9 +309,25 @@ def _load_vqe_config(path: str, seed_override: int | None) -> VqeConfig:
         cfg = VqeConfig.from_dict(doc)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
+    _check_hamiltonian(cfg)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return cfg
+
+
+def _check_hamiltonian(cfg: VqeConfig) -> None:
+    """Load the configured Hamiltonian now, so a bad one fails before any run."""
+    try:
+        h = get_hamiltonian(cfg.hamiltonian)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(
+            f"cannot load Hamiltonian {cfg.hamiltonian!r}: {exc}"
+        ) from exc
+    if h.n_qubits != cfg.ansatz.n_qubits:
+        raise UsageError(
+            f"{h.n_qubits}-qubit Hamiltonian for a "
+            f"{cfg.ansatz.n_qubits}-qubit ansatz"
+        )
 
 
 def cmd_run(args) -> int:
@@ -356,6 +371,7 @@ def cmd_batch(args) -> int:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from exc
+    _check_hamiltonian(experiment.vqe)
     results = execute_batch(experiment, workers=args.workers)
     records = [r for r, _ in results]
 

@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .fields import check
+
 METHODS = ("spsa", "cobyla", "nelder-mead", "powell")
 
 
@@ -132,9 +134,13 @@ class OptimizerConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown optimizer fields: {sorted(unknown)}")
-        norm = dict(doc)
+        # every field's default has the field's type
+        norm = {
+            key: check(value, type(getattr(cls, key)), key)
+            for key, value in doc.items()
+        }
         if "method" in norm:
-            norm["method"] = str(norm["method"]).lower()
+            norm["method"] = norm["method"].lower()
         return cls(**norm)
 
     def to_dict(self) -> dict:

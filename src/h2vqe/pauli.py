@@ -144,8 +144,15 @@ def save_hamiltonian(h: Hamiltonian, path: str) -> None:
 
 
 def load_hamiltonian(path: str) -> Hamiltonian:
+    """Read a Hamiltonian file; Y terms are rejected, having no measurement basis."""
     with open(path) as fh:
-        return Hamiltonian.from_dict(json.load(fh))
+        h = Hamiltonian.from_dict(json.load(fh))
+    y_terms = [t.string.to_label() for t in h.terms if "Y" in t.string.labels]
+    if y_terms:
+        raise ValueError(
+            f"terms {y_terms} need a Y measurement basis; only X and Z are supported"
+        )
+    return h
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,8 @@ def _jacobi_symmetric_eigvals(
     n = a.shape[0]
     scale = max(np.abs(a).max(), 1.0)
     for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * (np.sum(a * a) - np.sum(np.diag(a) ** 2)))
+        # summed directly: total minus diagonal can cancel below zero
+        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
         if off <= tol * scale:
             break
         for p in range(n - 1):

@@ -8,6 +8,12 @@ arm samples it the same way: one multinomial over all shots, then readout
 errors flip each measured bit independently. Shots are i.i.d., so this has
 the distribution of per-shot trajectories that insert a random Pauli after
 a faulty gate.
+
+The density matrix is a flat vector of 4^n entries: base-4 digit q of the
+position of rho[i, j] is 2 * i_q + j_q, so axis q holds qubit q's row and
+column bits. A one-qubit gate and its error act as one 4x4 superoperator
+D(p) (U (x) U*) on that axis; a CX permutes the entries, then D(p2) acts
+on both of its axes.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import Circuit, Gate
+from .fields import check, read
 from .pauli import MeasurementGroup
 
 DEFAULT_P1 = 0.001
@@ -173,22 +180,26 @@ class NoiseModel:
     def from_dict(cls, doc: dict) -> "NoiseModel":
         gate = doc.get("gate_errors", False)
         readout = doc.get("readout_errors", False)
+        for key, value in (("gate_errors", gate), ("readout_errors", readout)):
+            if not isinstance(value, dict):
+                check(value, bool, key)
         kwargs: dict = {
             "gate_enabled": bool(gate),
             "readout_enabled": bool(readout),
         }
         if isinstance(gate, dict):
-            kwargs["p1"] = float(gate.get("p1", DEFAULT_P1))
-            kwargs["p2"] = float(gate.get("p2", DEFAULT_P2))
+            kwargs["p1"] = read(gate, "p1", float, DEFAULT_P1)
+            kwargs["p2"] = read(gate, "p2", float, DEFAULT_P2)
         if isinstance(readout, dict):
             if "per_qubit" in readout:
                 kwargs["readout"] = tuple(
-                    (float(a), float(b)) for a, b in readout["per_qubit"]
+                    (check(a, float, "p01"), check(b, float, "p10"))
+                    for a, b in readout["per_qubit"]
                 )
             else:
                 kwargs["readout"] = (
-                    float(readout.get("p01", DEFAULT_READOUT[0])),
-                    float(readout.get("p10", DEFAULT_READOUT[1])),
+                    read(readout, "p01", float, DEFAULT_READOUT[0]),
+                    read(readout, "p10", float, DEFAULT_READOUT[1]),
                 )
         return cls(**kwargs)
 
@@ -314,34 +325,93 @@ def sample_counts(
     return _sample(probs, shots, _as_rng(seed), noise, n)
 
 
+@lru_cache(maxsize=64)
+def _depolarizing_superop(f: float) -> np.ndarray:
+    """Read-only depolarizing map on one axis, f = 1 - 4p/3 for error rate p.
+
+    f rho + (1 - f) Tr_q(rho) (x) I/2 equals (1 - p) rho + (p/3) sum_P P rho P,
+    and two such maps compose to the one with the product of their f.
+    """
+    a, b = (1.0 + f) / 2.0, (1.0 - f) / 2.0
+    d = np.array([[a, 0, 0, b], [0, f, 0, 0], [0, 0, f, 0], [b, 0, 0, a]])
+    d.setflags(write=False)
+    return d
+
+
+def _superop(u: np.ndarray) -> np.ndarray:
+    """U (x) U*: rho -> U rho U^dagger on one (row bit, column bit) axis."""
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
+
+
+@lru_cache(maxsize=32)
+def _interleaved_index(n: int) -> np.ndarray:
+    """Read-only 2^n x 2^n array of the flat position of each rho[i, j]."""
+    i = np.arange(2**n)
+    spread = sum(((i >> q) & 1) << (2 * q) for q in range(n))  # bit q -> 2q
+    index = 2 * spread[:, None] + spread[None, :]
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _cx_layout_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Read-only gather that maps the flat rho to CX rho CX."""
+    index = _interleaved_index(n)
+    flip = _cx_permutation(n, control, target)
+    perm = np.empty(4**n, dtype=np.intp)
+    perm[index] = index[flip][:, flip]
+    perm.setflags(write=False)
+    return perm
+
+
+def _evolve_rho(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Final rho of the circuit, flat in the interleaved layout.
+
+    A qubit's one-qubit gates and error factors wait, fused, until a CX
+    touches it or the circuit ends. This is exact because the depolarizing
+    map commutes with every unitary on its own qubit.
+    """
+    n = circuit.n_qubits
+    p1, p2 = (noise.p1, noise.p2) if noise.gate_enabled else (0.0, 0.0)
+    f1, f2 = 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0
+    r = np.zeros(4**n, dtype=complex)
+    r[0] = 1.0
+    # qubit -> (product of gate maps, None before the first; product of f)
+    pending: dict[int, tuple[np.ndarray | None, float]] = {}
+
+    def flush(r: np.ndarray, q: int) -> np.ndarray:
+        s, f = pending.pop(q)
+        d = _depolarizing_superop(f)
+        m = d if s is None else d @ s
+        return (m @ r.reshape(4 ** (n - 1 - q), 4, 4**q)).reshape(-1)
+
+    for gate in circuit.gates:
+        if gate.name == "cx":
+            for q in gate.qubits:
+                if q in pending:
+                    r = flush(r, q)
+            r = r[_cx_layout_permutation(n, *gate.qubits)]
+            for q in gate.qubits:
+                pending[q] = (None, f2)
+        else:
+            (q,) = gate.qubits
+            s, f = pending.get(q, (None, 1.0))
+            m = _superop(_gate_matrix(gate))
+            pending[q] = (m if s is None else m @ s, f * f1)
+    for q in list(pending):
+        r = flush(r, q)
+    return r
+
+
 def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Density matrix of the circuit from |0...0> under depolarizing noise.
 
     Each gate maps rho to U rho U^dagger; then every qubit it touches goes
     through rho -> (1 - p) rho + (p/3) sum_P P rho P over P in {X, Y, Z},
-    with p = p1 after one-qubit gates and p = p2 after a CX.
+    with p = p1 after one-qubit gates and p = p2 after a CX. The result is
+    the ordinary 2^n x 2^n matrix, gathered from the interleaved layout.
     """
-    n = circuit.n_qubits
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        rho = apply_gate(apply_gate(rho, gate, n).conj().T, gate, n)
-        p = noise.p2 if gate.name == "cx" else noise.p1
-        if noise.gate_enabled and p > 0:
-            for q in gate.qubits:
-                rho = _depolarize(rho, q, p, n)
-    return rho
-
-
-def _depolarize(rho: np.ndarray, q: int, p: float, n: int) -> np.ndarray:
-    """(1 - 4p/3) rho + (4p/3) Tr_q(rho) (x) I/2, the same channel as above."""
-    i0 = _lower_indices(n, q)
-    b0, b1 = np.ix_(i0, i0), np.ix_(i0 + (1 << q), i0 + (1 << q))
-    half_trace = rho[b0] + rho[b1]
-    out = (1.0 - 4.0 * p / 3.0) * rho
-    out[b0] += (2.0 * p / 3.0) * half_trace
-    out[b1] += (2.0 * p / 3.0) * half_trace
-    return out
+    return _evolve_rho(circuit, noise)[_interleaved_index(circuit.n_qubits)]
 
 
 def run_noisy(
@@ -350,8 +420,9 @@ def run_noisy(
     """Shot-sampled circuit execution under the given noise model.
 
     The outcome distribution is diag(rho) of :func:`density_matrix` when
-    gate noise is active (enabled with p1 or p2 nonzero), and
-    |amplitude|^2 of the statevector otherwise. Every noise arm then draws
+    gate noise is active (enabled with p1 or p2 nonzero), read straight
+    from the interleaved layout with entries below zero clipped to zero,
+    and |amplitude|^2 of the statevector otherwise. Every noise arm then draws
     in the same order as :func:`sample_counts`: one multinomial over
     outcomes, then the readout-flip uniforms per qubit. So with gate noise
     inert this returns the counts of
@@ -360,8 +431,9 @@ def run_noisy(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if noise.gate_active:
+        diagonal = _interleaved_index(circuit.n_qubits).diagonal()
         # rounding can leave diagonal entries a hair below zero
-        probs = np.maximum(density_matrix(circuit, noise).diagonal().real, 0.0)
+        probs = np.maximum(_evolve_rho(circuit, noise)[diagonal].real, 0.0)
     else:
         probs = np.abs(statevector(circuit)) ** 2
     return _sample(probs, shots, _as_rng(seed), noise, circuit.n_qubits)

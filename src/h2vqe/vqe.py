@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import AnsatzSpec, build_circuit, parameter_count
+from .fields import check
 from .optim import (
     OptimizationAbort,
     OptimizerConfig,
@@ -218,6 +219,7 @@ class VqeConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VqeConfig":
+        check(doc, dict, "config")
         known = {
             "hamiltonian", "ansatz", "optimizer", "shots", "noise", "seed",
             "initial_params",
@@ -226,20 +228,19 @@ class VqeConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs: dict = {}
-        if "hamiltonian" in doc:
-            kwargs["hamiltonian"] = str(doc["hamiltonian"])
-        if "ansatz" in doc:
-            kwargs["ansatz"] = AnsatzSpec.from_dict(doc["ansatz"])
-        if "optimizer" in doc:
-            kwargs["optimizer"] = OptimizerConfig.from_dict(doc["optimizer"])
-        if "shots" in doc:
-            kwargs["shots"] = int(doc["shots"])
-        if "noise" in doc:
-            kwargs["noise"] = NoiseModel.from_dict(doc["noise"])
-        if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
-        if "initial_params" in doc:
-            kwargs["initial_params"] = str(doc["initial_params"])
+        for key, kind in (
+            ("hamiltonian", str), ("shots", int), ("seed", int),
+            ("initial_params", str),
+        ):
+            if key in doc:
+                kwargs[key] = check(doc[key], kind, key)
+        for key, parse in (
+            ("ansatz", AnsatzSpec.from_dict),
+            ("optimizer", OptimizerConfig.from_dict),
+            ("noise", NoiseModel.from_dict),
+        ):
+            if key in doc:
+                kwargs[key] = parse(check(doc[key], dict, key))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

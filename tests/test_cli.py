@@ -14,7 +14,14 @@ from h2vqe.cli import (
     main,
     read_csv_rows,
 )
-from h2vqe.pauli import group_terms, h2_4qubit
+from h2vqe.pauli import (
+    Hamiltonian,
+    PauliString,
+    PauliTerm,
+    group_terms,
+    h2_4qubit,
+    save_hamiltonian,
+)
 from h2vqe.sim import counts_to_dict, save_counts
 
 
@@ -127,6 +134,35 @@ class TestRun:
         path = write_json(tmp_path / "cfg.json", doc)
         assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
         assert "gate noise is limited" in capsys.readouterr().err
+        batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
+        assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
+        assert not os.path.exists(tmp_path / "runs.csv")
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"ansatz": 3}, "ansatz"),
+        ({"optimizer": {"spsa_a": "x"}}, "spsa_a"),
+        ({"optimizer": {"method": "spsa", "max_iterations": 1.5}},
+         "max_iterations"),
+    ])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, overrides, named):
+        doc = small_vqe_config(**overrides)
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+        batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
+        assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
+        assert not os.path.exists(tmp_path / "runs.csv")
+
+    def test_y_term_hamiltonian_exit_2(self, tmp_path, capsys):
+        terms = h2_4qubit().terms + (
+            PauliTerm(0.1, PauliString.from_label("IIYY")),
+        )
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(Hamiltonian(4, terms), ham)
+        doc = small_vqe_config(hamiltonian=ham)
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert "IIYY" in capsys.readouterr().err
         batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
         assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
         assert not os.path.exists(tmp_path / "runs.csv")
@@ -260,6 +296,32 @@ class TestBatch:
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1].startswith("failed")
         assert math.isnan(float(rows[1][2]))
+
+    def test_fields_with_commas_round_trip(self, tmp_path, monkeypatch):
+        import h2vqe.cli as cli_mod
+
+        real = cli_mod.run_vqe
+
+        def flaky(cfg):
+            if cfg.seed == derive_run_seed(7, 1):
+                raise RuntimeError("boom, twice")
+            return real(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_vqe", flaky)
+        doc = batch_config(
+            n_runs=2, noise={"readout_errors": {"p01": 0.02, "p10": 0.03}}
+        )
+        path = write_json(tmp_path / "b.json", doc)
+        out = tmp_path / "out"
+        assert main(["batch", "--config", path, "--out-dir", str(out),
+                     "--no-timestamp"]) == 0
+        header, rows = read_csv_rows(str(out / "runs.csv"))
+        assert header == list(RunRecord.FIELDS)
+        ok, failed = (RunRecord.from_row(r) for r in rows)
+        assert ok.noise == "readout(p01=0.02,p10=0.03)"
+        assert ok.status == "ok"
+        assert failed.status == "failed: boom, twice"
+        assert ok.to_row() == rows[0]
 
     def test_bad_config_exit_2(self, tmp_path):
         path = write_json(tmp_path / "b.json", {"n_runs": 0})

@@ -158,6 +158,12 @@ class TestEigenvalues:
         assert np.abs(m.imag).max() > 0.1
         assert np.abs(eigenvalues(m) - np.sort(np.linalg.eigvalsh(m))).max() < 1e-9
 
+    def test_tiny_off_diagonals(self):
+        # total minus diagonal sum of squares cancels to -3.6e-15 here
+        m = np.full((4, 4), 1e-9)
+        np.fill_diagonal(m, [1.0, 3.0, 3.0, 0.1])
+        assert np.abs(eigenvalues(m) - np.sort(np.linalg.eigvalsh(m))).max() < 1e-12
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from h2vqe.ansatz import AnsatzSpec, Circuit, Gate, build_circuit
-from h2vqe.pauli import group_terms, h2_2qubit, h2_4qubit
+from h2vqe.ansatz import AnsatzSpec, Circuit, Gate, build_circuit, parameter_count
+from h2vqe.pauli import MeasurementGroup, group_terms, h2_2qubit, h2_4qubit
 from h2vqe.sim import (
     CountsVector,
     NoiseModel,
@@ -243,7 +243,64 @@ def trajectory_counts(circuit, p1, p2, shots, rng):
     return np.bincount(np.minimum(outcomes, 2**n - 1), minlength=2**n)
 
 
+def dense_unitary(gate, n):
+    """Full 2^n unitary of one gate, built by kron embedding."""
+    if gate.name == "cx":
+        c, t = gate.qubits
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        return on_qubit(p0, c, n) + on_qubit(p1, c, n) @ on_qubit(PAULIS[0], t, n)
+    half = (gate.angle or 0.0) / 2
+    m = {
+        "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        "ry": np.array([[np.cos(half), -np.sin(half)],
+                        [np.sin(half), np.cos(half)]]),
+        "rz": np.diag([np.exp(-1j * half), np.exp(1j * half)]),
+    }[gate.name]
+    return on_qubit(m, gate.qubits[0], n)
+
+
+def mix_qubit(rho, q, n):
+    """Tr_q(rho) (x) I/2, with qubit q put back in its own tensor slot."""
+    t = rho.reshape((2,) * (2 * n))
+    row, col = n - 1 - q, 2 * n - 1 - q  # axis 0 holds the highest qubit
+    reduced = np.trace(t, axis1=row, axis2=col)
+    mixed = np.multiply.outer(reduced, np.eye(2) / 2)
+    return np.moveaxis(mixed, [-2, -1], [row, col]).reshape(rho.shape)
+
+
+def dense_density_matrix(circuit, p1, p2):
+    """Reference channel: U rho U^dagger per gate, then on each touched qubit
+    (1 - 4p/3) rho + (4p/3) Tr_q(rho) (x) I/2."""
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = dense_unitary(gate, n)
+        rho = u @ rho @ u.conj().T
+        p = p2 if gate.name == "cx" else p1
+        for q in gate.qubits:
+            rho = (1 - 4 * p / 3) * rho + (4 * p / 3) * mix_qubit(rho, q, n)
+    return rho
+
+
 class TestDensityMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        cases = [("ry", "linear"), ("ryrz", "full"), ("ryrz", "circular")]
+        probs = [(0.003, 0.02), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.3)]
+        for (form, ent), (p1, p2) in zip(cases * 2, probs):
+            spec = AnsatzSpec(form, ent, reps=2, n_qubits=n)
+            circ = build_circuit(
+                spec, rng.uniform(-np.pi, np.pi, parameter_count(spec))
+            )
+            basis = tuple(rng.choice(["X", "Z"], size=n))
+            circ = circ.concat(post_rotations(MeasurementGroup(0, basis, ())))
+            noise = NoiseModel(gate_enabled=True, p1=p1, p2=p2)
+            expected = dense_density_matrix(circ, p1, p2)
+            assert np.abs(density_matrix(circ, noise) - expected).max() < 1e-12
+
+
     def test_certain_error_closed_form(self):
         # X and Y send |0> to |1>, Z keeps it: diag = [1/3, 2/3]
         circ = Circuit(1, (Gate("ry", (0,), 0.0),))
