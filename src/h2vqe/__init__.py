@@ -20,7 +20,15 @@ from .pauli import (
     h2_4qubit,
     to_dense,
 )
-from .sim import CountsVector, NoiseModel, apply_circuit, post_rotations, run_noisy, sample_counts
+from .sim import (
+    BitOrder,
+    CountsVector,
+    NoiseModel,
+    apply_circuit,
+    post_rotations,
+    run_noisy,
+    sample_counts,
+)
 from .similarity import (
     EnergyBands,
     batch_average_similarity,
@@ -29,7 +37,6 @@ from .similarity import (
     sqrt_dot,
 )
 from .vqe import (
-    BitOrder,
     EnergyEstimate,
     EnergyEvaluator,
     VqeConfig,

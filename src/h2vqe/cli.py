@@ -23,21 +23,14 @@ import numpy as np
 
 from . import fixtures
 from .fields import check, read
-from .pauli import eigenvalues, group_terms, to_dense
-from .sim import (
-    CountsVector,
-    counts_from_dict,
-    counts_to_dict,
-    load_counts,
-    save_counts,
-)
+from .pauli import Hamiltonian, MeasurementGroup, eigenvalues, group_terms, to_dense
+from .sim import BitOrder, CountsVector, counts_to_dict, load_counts, save_counts
 from .similarity import (
     EnergyBands,
     batch_average_similarity,
     classify_energy,
 )
 from .vqe import (
-    BitOrder,
     RESOLVED_BIT_ORDER,
     VqeConfig,
     energy_from_counts,
@@ -116,7 +109,7 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 
 
 def _run_single(cfg_template: VqeConfig, run_index: int, base_seed: int):
-    """One batch run; returns (RunRecord, counts-file documents)."""
+    """One batch run; returns its RunRecord and final counts, one per group."""
     seed = derive_run_seed(base_seed, run_index)
     cfg = replace(cfg_template, seed=seed)
     result = run_vqe(cfg)
@@ -131,19 +124,7 @@ def _run_single(cfg_template: VqeConfig, run_index: int, base_seed: int):
         noise=cfg.noise.describe(),
         status="ok" if result.complete else "incomplete",
     )
-    groups, _ = group_terms(get_hamiltonian(cfg.hamiltonian))
-    docs = [
-        counts_to_dict(
-            cv,
-            groups[g].basis,
-            bit_order=RESOLVED_BIT_ORDER.value,
-            energy_ha=result.energy,
-            group_id=g,
-            run_index=run_index,
-        )
-        for g, cv in enumerate(result.final_counts)
-    ]
-    return record, docs
+    return record, result.final_counts
 
 
 def _run_single_safe(args):
@@ -162,7 +143,7 @@ def _run_single_safe(args):
             noise=cfg_template.noise.describe(),
             status=f"failed: {exc}",
         )
-        return record, []
+        return record, ()
 
 
 def execute_batch(experiment: ExperimentConfig, workers: int = 1):
@@ -180,6 +161,26 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
 
 
 # ---------------------------------------------------------------- output --
+
+
+def _counts_documents(
+    groups: tuple[MeasurementGroup, ...],
+    final_counts: tuple[CountsVector, ...],
+    record: RunRecord | None = None,
+) -> list[dict]:
+    """Counts-file documents of a run's final counts, one per group.
+
+    A batch run's documents also carry its energy and run index.
+    """
+    docs = []
+    for g, cv in enumerate(final_counts):
+        extra = {"group_id": g}
+        if record is not None:
+            extra = {
+                "energy_ha": record.energy_ha, **extra, "run_index": record.run_index
+            }
+        docs.append(counts_to_dict(cv, groups[g].basis, RESOLVED_BIT_ORDER, **extra))
+    return docs
 
 
 def _write_csv(path: str, header: list[str], rows, no_timestamp: bool) -> None:
@@ -275,11 +276,16 @@ def write_svg_scatter(
 # ------------------------------------------------------------ subcommands --
 
 
-def cmd_eigen(args) -> int:
+def _load_hamiltonian(selector: str) -> Hamiltonian:
+    """The Hamiltonian ``selector`` names; one that cannot be loaded is exit 2."""
     try:
-        h = get_hamiltonian(args.ham)
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load Hamiltonian {args.ham!r}: {exc}") from exc
+        return get_hamiltonian(selector)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot load Hamiltonian {selector!r}: {exc}") from exc
+
+
+def cmd_eigen(args) -> int:
+    h = _load_hamiltonian(args.ham)
     values = eigenvalues(to_dense(h))
     for v in values:
         print(f"{v:.4f}")
@@ -309,33 +315,28 @@ def _load_vqe_config(path: str, seed_override: int | None) -> VqeConfig:
         cfg = VqeConfig.from_dict(doc)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    _check_hamiltonian(cfg)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return cfg
 
 
-def _check_hamiltonian(cfg: VqeConfig) -> None:
+def _check_hamiltonian(cfg: VqeConfig) -> Hamiltonian:
     """Load the configured Hamiltonian now, so a bad one fails before any run."""
-    try:
-        h = get_hamiltonian(cfg.hamiltonian)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(
-            f"cannot load Hamiltonian {cfg.hamiltonian!r}: {exc}"
-        ) from exc
+    h = _load_hamiltonian(cfg.hamiltonian)
     if h.n_qubits != cfg.ansatz.n_qubits:
         raise UsageError(
             f"{h.n_qubits}-qubit Hamiltonian for a "
             f"{cfg.ansatz.n_qubits}-qubit ansatz"
         )
+    return h
 
 
 def cmd_run(args) -> int:
     cfg = _load_vqe_config(args.config, args.seed)
+    groups, _ = group_terms(_check_hamiltonian(cfg))
     result = run_vqe(cfg)
     trace_path = os.path.join(args.out_dir, "trace.csv")
     result.trace.to_csv(trace_path)
-    groups, _ = group_terms(get_hamiltonian(cfg.hamiltonian))
     doc = {
         "config": cfg.to_dict(),
         "bit_order": RESOLVED_BIT_ORDER.value,
@@ -345,15 +346,7 @@ def cmd_run(args) -> int:
         "evaluations": result.evaluations,
         "params": [float(p) for p in result.params],
         "trace_csv": "trace.csv",
-        "final_counts": [
-            counts_to_dict(
-                cv,
-                groups[g].basis,
-                bit_order=RESOLVED_BIT_ORDER.value,
-                group_id=g,
-            )
-            for g, cv in enumerate(result.final_counts)
-        ],
+        "final_counts": _counts_documents(groups, result.final_counts),
     }
     with open(os.path.join(args.out_dir, "result.json"), "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -371,7 +364,7 @@ def cmd_batch(args) -> int:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from exc
-    _check_hamiltonian(experiment.vqe)
+    groups, _ = group_terms(_check_hamiltonian(experiment.vqe))
     results = execute_batch(experiment, workers=args.workers)
     records = [r for r, _ in results]
 
@@ -384,23 +377,21 @@ def cmd_batch(args) -> int:
 
     counts_dir = os.path.join(args.out_dir, "counts")
     os.makedirs(counts_dir, exist_ok=True)
-    by_group: dict[int, list[tuple[RunRecord, dict, CountsVector]]] = {}
-    for record, docs in results:
-        for doc in docs:
-            path = os.path.join(
-                counts_dir, f"run{record.run_index:04d}_g{doc['group_id']}.json"
-            )
+    by_group: dict[int, list[tuple[RunRecord, CountsVector]]] = {}
+    for record, final_counts in results:
+        docs = _counts_documents(groups, final_counts, record)
+        for g, (cv, doc) in enumerate(zip(final_counts, docs)):
+            path = os.path.join(counts_dir, f"run{record.run_index:04d}_g{g}.json")
             save_counts(path, doc)
-            cv = counts_from_dict(doc)[0]
-            by_group.setdefault(doc["group_id"], []).append((record, doc, cv))
+            by_group.setdefault(g, []).append((record, cv))
 
     sim_rows = []
     for gid in sorted(by_group):
         entries = by_group[gid]
-        vectors = [cv.probabilities() for _, _, cv in entries]
+        vectors = [cv.probabilities() for _, cv in entries]
         avg_jt = batch_average_similarity(vectors, "jt")
         avg_sd = batch_average_similarity(vectors, "sqrtdot")
-        for (record, _, _), jt, sd in zip(entries, avg_jt, avg_sd):
+        for (record, _), jt, sd in zip(entries, avg_jt, avg_sd):
             sim_rows.append(
                 [repr(record.energy_ha), repr(float(jt)), repr(float(sd)),
                  record.band, str(gid)]
@@ -464,10 +455,7 @@ def _counts_inputs(args) -> list[tuple[str, CountsVector, tuple[str, ...], dict]
 
 
 def cmd_energy_from_counts(args) -> int:
-    try:
-        h = get_hamiltonian(args.ham)
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load Hamiltonian {args.ham!r}: {exc}") from exc
+    h = _load_hamiltonian(args.ham)
     groups, _ = group_terms(h)
     entries = _counts_inputs(args)
     shots = {cv.shots for _, cv, _, _ in entries}
@@ -507,6 +495,8 @@ def cmd_energy_from_counts(args) -> int:
 
 def cmd_similarity(args) -> int:
     if args.batch_dir:
+        if not os.path.isdir(args.batch_dir):
+            raise UsageError(f"no batch directory {args.batch_dir!r}")
         counts_dir = os.path.join(args.batch_dir, "counts")
         root = counts_dir if os.path.isdir(counts_dir) else args.batch_dir
         files = sorted(

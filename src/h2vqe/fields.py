@@ -1,9 +1,10 @@
 """Typed reads of config-document fields.
 
-Config files are JSON, so a field arrives as a bool, number, string, list
-or object. Each ``from_dict`` reads its fields through :func:`read`, which
-raises ``ValueError`` on a wrong type, so a bad file fails when it is
-loaded rather than partway through a run.
+Config, Hamiltonian and counts files are JSON, so a field arrives as a
+bool, number, string, list or object. Each ``from_dict`` reads its fields
+through :func:`check` or :func:`read`, which raise ``ValueError`` on a
+wrong type, so a bad file fails when it is loaded rather than partway
+through a run.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ _KIND_NAMES = {
     str: "a string",
     bool: "true or false",
     dict: "an object",
+    list: "a list",
 }
 
 
 def check(value, kind: type, name: str):
-    """``value`` as ``kind`` (int, float, str, bool or dict), or ValueError.
+    """``value`` as ``kind`` (int, float, str, bool, dict or list), or ValueError.
 
     An integral float counts as an int and an int as a float; a bool is
     neither.

@@ -10,11 +10,9 @@ B evaluate to -1.8422 and -1.8464 Ha) and serve as CLI/test fixtures.
 
 from __future__ import annotations
 
-from .sim import CountsVector, bit_reversal_permutation
+from .sim import BitOrder, CountsVector
 
 FIXTURE_SHOTS = 8192
-FIXTURE_BIT_ORDER = "q0_leftmost"
-FIXTURE_N_QUBITS = 4
 
 # circuit 0 measures in the all-Z basis, circuit 1 after H on qubits 0 and 2
 CIRCUIT0_BASIS = ("Z", "Z", "Z", "Z")
@@ -46,11 +44,8 @@ def raw_counts(name: str) -> tuple[int, ...]:
 
 def fixture_counts(name: str) -> CountsVector:
     """Fixture as a CountsVector in the internal (q0_rightmost) order."""
-    raw = raw_counts(name)
-    perm = bit_reversal_permutation(FIXTURE_N_QUBITS)
-    return CountsVector(
-        tuple(raw[perm[i]] for i in range(len(raw))), FIXTURE_SHOTS
-    )
+    raw = CountsVector(raw_counts(name), FIXTURE_SHOTS)
+    return raw.reordered(BitOrder.Q0_LEFTMOST)
 
 
 def fixture_basis(name: str) -> tuple[str, ...]:

@@ -57,7 +57,7 @@ class Trace:
         """Columns: eval_index, value, then one column per parameter."""
         dim = len(self.entries[0][1]) if self.entries else 0
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["eval_index", value_label] + [f"param_{i}" for i in range(dim)]
             )

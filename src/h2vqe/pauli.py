@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check, read
+
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 _SINGLE_QUBIT = {
@@ -128,14 +130,18 @@ class Hamiltonian:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Hamiltonian":
-        if doc.get("bit_order", "q_high_left") != "q_high_left":
-            raise ValueError(f"unsupported bit_order {doc.get('bit_order')!r}")
-        n = int(doc["n_qubits"])
-        terms = tuple(
-            PauliTerm(float(t["coeff"]), PauliString.from_label(t["string"]))
-            for t in doc["terms"]
-        )
-        return cls(n, terms)
+        check(doc, dict, "Hamiltonian")
+        bit_order = read(doc, "bit_order", str, "q_high_left")
+        if bit_order != "q_high_left":
+            raise ValueError(f"unsupported bit_order {bit_order!r}")
+        n = check(doc["n_qubits"], int, "n_qubits")
+        terms = []
+        for t in check(doc["terms"], list, "terms"):
+            check(t, dict, "term")
+            label = check(t["string"], str, "string")
+            coeff = check(t["coeff"], float, "coeff")
+            terms.append(PauliTerm(coeff, PauliString.from_label(label)))
+        return cls(n, tuple(terms))
 
 
 def save_hamiltonian(h: Hamiltonian, path: str) -> None:

@@ -18,6 +18,7 @@ on both of its axes.
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,8 +32,6 @@ from .pauli import MeasurementGroup
 DEFAULT_P1 = 0.001
 DEFAULT_P2 = 0.005
 DEFAULT_READOUT = (0.02, 0.02)
-
-BIT_ORDER_TAGS = ("q0_rightmost", "q0_leftmost")
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -231,6 +230,31 @@ class NoiseModel:
         return "+".join(parts) if parts else "ideal"
 
 
+class BitOrder(enum.Enum):
+    """How a counts index maps to qubits.
+
+    Q0_RIGHTMOST: bit k of the index is qubit k, the in-memory layout of
+    every CountsVector. Q0_LEFTMOST: bit n-1-k is qubit k, so the index
+    printed as an n-bit string carries qubit 0 in its leading character;
+    serialized counts and printed tables use it. Functions that take an
+    order also accept its string value, e.g. ``"q0_leftmost"``.
+    """
+
+    Q0_LEFTMOST = "q0_leftmost"
+    Q0_RIGHTMOST = "q0_rightmost"
+
+
+@lru_cache(maxsize=32)
+def bit_reversal_permutation(n_qubits: int) -> np.ndarray:
+    """Read-only perm with perm[i] = i with its n-bit pattern reversed."""
+    i = np.arange(2**n_qubits)
+    perm = np.zeros_like(i)
+    for b in range(n_qubits):
+        perm |= ((i >> b) & 1) << (n_qubits - 1 - b)
+    perm.setflags(write=False)
+    return perm
+
+
 @dataclass(frozen=True)
 class CountsVector:
     """Histogram over the 2^n basis states from ``shots`` measurements."""
@@ -256,24 +280,15 @@ class CountsVector:
     def probabilities(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.shots
 
+    def reordered(self, order: BitOrder | str) -> "CountsVector":
+        """These counts moved between ``order`` and the Q0_RIGHTMOST layout.
 
-def merge_counts(a: CountsVector, b: CountsVector) -> CountsVector:
-    if len(a.counts) != len(b.counts):
-        raise ValueError("cannot merge counts of different dimension")
-    return CountsVector(
-        tuple(x + y for x, y in zip(a.counts, b.counts)), a.shots + b.shots
-    )
-
-
-def bit_reversal_permutation(n_qubits: int) -> np.ndarray:
-    """perm[i] = i with its n-bit pattern reversed."""
-    perm = np.zeros(2**n_qubits, dtype=np.int64)
-    for i in range(2**n_qubits):
-        r = 0
-        for b in range(n_qubits):
-            r |= ((i >> b) & 1) << (n_qubits - 1 - b)
-        perm[i] = r
-    return perm
+        Bit reversal is its own inverse, so one call serves both directions.
+        """
+        if BitOrder(order) is BitOrder.Q0_RIGHTMOST:
+            return self
+        perm = bit_reversal_permutation(self.n_qubits)
+        return CountsVector(tuple(np.asarray(self.counts)[perm].tolist()), self.shots)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -442,7 +457,7 @@ def run_noisy(
 def counts_to_dict(
     cv: CountsVector,
     basis,
-    bit_order: str = "q0_leftmost",
+    bit_order: BitOrder | str = BitOrder.Q0_LEFTMOST,
     **extra,
 ) -> dict:
     """Counts-file document.
@@ -452,50 +467,38 @@ def counts_to_dict(
     character order of the ``group_basis`` string; the in-memory
     CountsVector always uses q0_rightmost (qubit k in bit k).
     """
-    if bit_order not in BIT_ORDER_TAGS:
-        raise ValueError(f"bit_order must be one of {BIT_ORDER_TAGS}")
-    counts = list(cv.counts)
-    if bit_order == "q0_leftmost":
-        perm = bit_reversal_permutation(cv.n_qubits)
-        counts = [cv.counts[perm[i]] for i in range(len(cv.counts))]
-        basis_str = "".join(basis)
-    else:
-        basis_str = "".join(reversed(basis))
+    order = BitOrder(bit_order)
+    leftmost = order is BitOrder.Q0_LEFTMOST
     doc = {
         "n_qubits": cv.n_qubits,
         "shots": cv.shots,
-        "group_basis": basis_str,
-        "bit_order": bit_order,
-        "counts": counts,
+        "group_basis": "".join(basis if leftmost else reversed(basis)),
+        "bit_order": order.value,
+        "counts": list(cv.reordered(order).counts),
     }
     doc.update(extra)
     return doc
 
 
 def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
-    """Parse a counts-file document.
+    """Parse a counts-file document; a malformed one raises ValueError.
 
     Returns the counts in the internal (q0_rightmost) order, the group
     basis as per-qubit labels with index = qubit (q0 first), and the
     leftover metadata fields.
     """
-    bit_order = doc.get("bit_order", "q0_leftmost")
-    if bit_order not in BIT_ORDER_TAGS:
-        raise ValueError(f"unknown bit_order {bit_order!r}")
-    n = int(doc["n_qubits"])
-    raw = [int(c) for c in doc["counts"]]
+    check(doc, dict, "counts document")
+    order = BitOrder(read(doc, "bit_order", str, BitOrder.Q0_LEFTMOST.value))
+    n = check(doc["n_qubits"], int, "n_qubits")
+    basis = check(doc["group_basis"], str, "group_basis").upper()
+    if len(basis) != n:  # checked first, so 2**n below is no larger than the file
+        raise ValueError("group_basis length does not match n_qubits")
+    raw = [check(c, int, "counts entry") for c in check(doc["counts"], list, "counts")]
     if len(raw) != 2**n:
         raise ValueError(f"expected {2**n} counts, got {len(raw)}")
-    basis = str(doc["group_basis"]).upper()
-    if len(basis) != n:
-        raise ValueError("group_basis length does not match n_qubits")
-    if bit_order == "q0_leftmost":
-        # basis char i already names qubit i in this orientation
-        perm = bit_reversal_permutation(n)
-        raw = [raw[perm[i]] for i in range(len(raw))]
-    else:
-        basis = basis[::-1]
-    cv = CountsVector(tuple(raw), int(doc["shots"]))
+    if order is BitOrder.Q0_RIGHTMOST:
+        basis = basis[::-1]  # under q0_leftmost char i already names qubit i
+    cv = CountsVector(tuple(raw), check(doc["shots"], int, "shots")).reordered(order)
     meta = {
         k: v
         for k, v in doc.items()

@@ -1,20 +1,16 @@
 """Energy estimation from grouped measurements and the VQE driver loop.
 
-Counts arrays carry a bit-order convention: Q0_RIGHTMOST means basis index
-bit k is qubit k (the in-memory layout of the simulator), Q0_LEFTMOST means
-bit n-1-k is qubit k (how printed bitstring tables usually read). The
-convention for interpreting the bundled reference tuples is resolved
-empirically by :func:`resolve_bit_order`: exactly one choice reproduces
--1.8422 Ha from reference set A, and that winner (Q0_LEFTMOST) is also the
-order used for every serialized counts artifact.
+Counts carry a :class:`~h2vqe.sim.BitOrder`. The convention for
+interpreting the bundled reference tuples is resolved empirically by
+:func:`resolve_bit_order`: exactly one choice reproduces -1.8422 Ha from
+reference set A, and that winner (Q0_LEFTMOST) is also the order used for
+every serialized counts artifact.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +33,7 @@ from .pauli import (
     load_hamiltonian,
 )
 from .sim import (
+    BitOrder,
     CountsVector,
     NoiseModel,
     apply_circuit,
@@ -58,42 +55,21 @@ _SEED_OPT = 2
 _SEED_FINAL = 3
 
 
-class BitOrder(enum.Enum):
-    """How a counts index maps to qubits (see module docstring)."""
-
-    Q0_LEFTMOST = "q0_leftmost"
-    Q0_RIGHTMOST = "q0_rightmost"
-
-
 # Winner of resolve_bit_order(), hardcoded for serialized artifacts; the
 # losing convention puts reference set A at -0.4202 Ha, 1.4 Ha off target.
 RESOLVED_BIT_ORDER = BitOrder.Q0_LEFTMOST
 
 
-@lru_cache(maxsize=32)
-def _parity_table(dim: int) -> np.ndarray:
-    """Read-only popcount parity of every index below dim."""
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    bits = dim.bit_length() - 1
-    for b in range(bits):
-        parity ^= (idx >> b) & 1
-    return parity
+def _term_signs(term: PauliTerm, n: int) -> np.ndarray:
+    """(-1)^(number of set outcome bits in the term's support), per outcome.
 
-
-def _support_mask(term: PauliTerm, n: int, conv: BitOrder) -> int:
-    mask = 0
+    Outcomes are indexed in the Q0_RIGHTMOST order.
+    """
+    outcomes = np.arange(2**n)
+    signs = np.ones(2**n)
     for q in term.string.support:
-        bit = q if conv is BitOrder.Q0_RIGHTMOST else n - 1 - q
-        mask |= 1 << bit
-    return mask
-
-
-def _term_signs(term: PauliTerm, n: int, conv: BitOrder) -> np.ndarray:
-    """(-1)^(parity of outcome bits in the term's support), per outcome."""
-    dim = 2**n
-    mask = _support_mask(term, n, conv)
-    return 1.0 - 2.0 * _parity_table(dim)[np.arange(dim) & mask]
+        signs *= 1 - 2 * ((outcomes >> q) & 1)
+    return signs
 
 
 def pauli_expectation(
@@ -109,8 +85,7 @@ def pauli_expectation(
     n = counts.n_qubits
     if term.string.n_qubits != n:
         raise ValueError("term and counts disagree on qubit count")
-    signs = _term_signs(term, n, conv)
-    return float(signs @ counts.probabilities())
+    return float(_term_signs(term, n) @ counts.reordered(conv).probabilities())
 
 
 @dataclass(frozen=True)
@@ -120,6 +95,45 @@ class EnergyEstimate:
     energy: float
     group_counts: tuple[CountsVector, ...]
     expectations: tuple[tuple[str, float], ...]
+
+
+class _Estimator:
+    """Per-group sign matrices, coefficients and term labels, built once.
+
+    The energy is the identity constant plus, group by group, the
+    coefficient vector dotted with the group's expectation vector.
+    """
+
+    def __init__(self, groups, identity: float, n_qubits: int):
+        self.identity = identity
+        self.signs = [
+            np.array([_term_signs(t, n_qubits) for t in g.terms]) for g in groups
+        ]
+        self.coeffs = [np.array([t.coefficient for t in g.terms]) for g in groups]
+        self.labels = [tuple(t.string.to_label() for t in g.terms) for g in groups]
+
+    def energy(self, probs_per_group) -> tuple[float, list[np.ndarray]]:
+        """Energy and per-group expectations from Q0_RIGHTMOST probabilities."""
+        energy = self.identity
+        values = []
+        for signs, coeffs, probs in zip(self.signs, self.coeffs, probs_per_group):
+            v = signs @ probs
+            energy += float(coeffs @ v)
+            values.append(v)
+        return float(energy), values
+
+    def estimate(
+        self, counts_per_group: tuple[CountsVector, ...], conv: BitOrder
+    ) -> EnergyEstimate:
+        """Estimate from counts in the ``conv`` order, which it keeps as given."""
+        energy, values = self.energy(
+            cv.reordered(conv).probabilities() for cv in counts_per_group
+        )
+        expectations = tuple(
+            pair for labels, v in zip(self.labels, values)
+            for pair in zip(labels, v.tolist())
+        )
+        return EnergyEstimate(energy, counts_per_group, expectations)
 
 
 def energy_from_counts(
@@ -137,14 +151,8 @@ def energy_from_counts(
     for cv in counts_per_group:
         if cv.n_qubits != h.n_qubits:
             raise ValueError("counts qubit count does not match Hamiltonian")
-    energy = h.identity_coefficient
-    expectations = []
-    for group, cv in zip(groups, counts_per_group):
-        for term in group.terms:
-            value = pauli_expectation(term, cv, conv)
-            expectations.append((term.string.to_label(), value))
-            energy += term.coefficient * value
-    return EnergyEstimate(float(energy), counts_per_group, tuple(expectations))
+    estimator = _Estimator(groups, h.identity_coefficient, h.n_qubits)
+    return estimator.estimate(counts_per_group, conv)
 
 
 def resolve_bit_order(
@@ -284,14 +292,9 @@ class EnergyEvaluator:
         self.noise = noise
         self.groups, self.identity = group_terms(hamiltonian)
         self._post_rotations = [post_rotations(g) for g in self.groups]
-        n = hamiltonian.n_qubits
-        self._signs = [
-            np.array([_term_signs(t, n, BitOrder.Q0_RIGHTMOST) for t in g.terms])
-            for g in self.groups
-        ]
-        self._coeffs = [
-            np.array([t.coefficient for t in g.terms]) for g in self.groups
-        ]
+        self._estimator = _Estimator(
+            self.groups, self.identity, hamiltonian.n_qubits
+        )
 
     @classmethod
     def from_config(cls, cfg: VqeConfig) -> "EnergyEvaluator":
@@ -305,33 +308,22 @@ class EnergyEvaluator:
     def evaluate(self, params, seed) -> EnergyEstimate:
         """Sampled energy estimate; deterministic in (params, seed)."""
         circuit = build_circuit(self.ansatz, params)
-        energy = self.identity
-        group_counts = []
-        expectations = []
-        for g, group in enumerate(self.groups):
-            measured = circuit.concat(self._post_rotations[g])
-            cv = run_noisy(
-                measured, self.shots, _child_seed(seed, g), self.noise
+        counts = tuple(
+            run_noisy(
+                circuit.concat(rotation), self.shots, _child_seed(seed, g), self.noise
             )
-            group_counts.append(cv)
-            values = self._signs[g] @ cv.probabilities()
-            energy += float(self._coeffs[g] @ values)
-            expectations.extend(
-                (t.string.to_label(), float(v))
-                for t, v in zip(group.terms, values)
-            )
-        return EnergyEstimate(float(energy), tuple(group_counts), tuple(expectations))
+            for g, rotation in enumerate(self._post_rotations)
+        )
+        return self._estimator.estimate(counts, BitOrder.Q0_RIGHTMOST)
 
     def evaluate_analytic(self, params) -> float:
         """Exact-probability energy (no sampling, no noise); test oracle."""
         circuit = build_circuit(self.ansatz, params)
         state = statevector(circuit)
-        energy = self.identity
-        for g in range(len(self.groups)):
-            rotated = apply_circuit(state, self._post_rotations[g])
-            probs = np.abs(rotated) ** 2
-            energy += float(self._coeffs[g] @ (self._signs[g] @ probs))
-        return float(energy)
+        return self._estimator.energy(
+            np.abs(apply_circuit(state, rotation)) ** 2
+            for rotation in self._post_rotations
+        )[0]
 
 
 def evaluate_energy(params, cfg: VqeConfig, seed) -> EnergyEstimate:

@@ -73,6 +73,22 @@ class TestEigen:
         assert main(["eigen", "--ham", "nosuch", "--out-dir", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"terms": 5}, "terms must be a list"),
+        ({"terms": [5]}, "term must be an object"),
+        ({"terms": [{"coeff": "0.1", "string": "ZIII"}]}, "coeff must be a number"),
+        ({"terms": [{"coeff": 0.1, "string": 3}]}, "string must be a string"),
+        ({"n_qubits": "4"}, "n_qubits must be an integer"),
+    ])
+    def test_malformed_hamiltonian_file_exit_2(
+        self, tmp_path, capsys, overrides, named
+    ):
+        doc = h2_4qubit().to_dict()
+        doc.update(overrides)
+        ham = write_json(tmp_path / "h.json", doc)
+        assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestRun:
     def test_artifacts_and_defaults(self, tmp_path, capsys):
@@ -166,6 +182,23 @@ class TestRun:
         batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
         assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
         assert not os.path.exists(tmp_path / "runs.csv")
+
+    def test_rerun_from_result_config(self, tmp_path):
+        cfg = small_vqe_config(noise={"readout_errors": True}, seed=12)
+        path = write_json(tmp_path / "cfg.json", cfg)
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", path, "--out-dir", str(first)]) == 0
+        result = json.load(open(first / "result.json"))
+        again = write_json(tmp_path / "again.json", result["config"])
+        assert main(["run", "--config", again, "--out-dir", str(second)]) == 0
+        rerun = json.load(open(second / "result.json"))
+        assert rerun["energy_ha"] == result["energy_ha"]
+        assert rerun == result
+
+    def test_trace_csv_has_unix_line_endings(self, tmp_path):
+        path = write_json(tmp_path / "cfg.json", small_vqe_config())
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 0
+        assert b"\r" not in open(tmp_path / "trace.csv", "rb").read()
 
     def test_seed_override(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", small_vqe_config())
@@ -425,6 +458,30 @@ class TestSimilarityCommand:
 
     def test_no_inputs_exit_2(self, tmp_path):
         assert main(["similarity", "--out-dir", str(tmp_path)]) == 2
+
+    def test_missing_batch_dir_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nosuch")
+        assert main(["similarity", "--batch-dir", missing,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "nosuch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"counts": 5}, "counts must be a list"),
+    ({"counts": ["1"] * 16, "shots": 16}, "counts entry must be an integer"),
+    ({"n_qubits": "4"}, "n_qubits must be an integer"),
+    ({"shots": "8192"}, "shots must be an integer"),
+    ({"group_basis": ["X", "Z", "X", "Z"]}, "group_basis must be a string"),
+])
+@pytest.mark.parametrize("command", ["similarity", "energy-from-counts"])
+def test_malformed_counts_file_exit_2(tmp_path, capsys, command, overrides, named):
+    f0 = fixture_file(tmp_path, "A0")
+    doc = json.load(open(fixture_file(tmp_path, "A1")))
+    doc.update(overrides)
+    bad = write_json(tmp_path / "bad.json", doc)
+    assert main([command, f0, bad, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and named in err
 
 
 def test_derive_run_seed_distinct():

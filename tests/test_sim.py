@@ -16,7 +16,6 @@ from h2vqe.sim import (
     counts_from_dict,
     counts_to_dict,
     density_matrix,
-    merge_counts,
     post_rotations,
     probabilities,
     run_noisy,
@@ -347,13 +346,6 @@ class TestCountsVector:
         cv = CountsVector((1, 3), 4)
         assert np.allclose(cv.probabilities(), [0.25, 0.75])
         assert cv.n_qubits == 1
-
-    def test_merge(self):
-        a = CountsVector((1, 3), 4)
-        b = CountsVector((2, 2), 4)
-        m = merge_counts(a, b)
-        assert m.counts == (3, 5) and m.shots == 8
-        assert merge_counts(b, a) == m
 
 
 class TestCountsSerialization:

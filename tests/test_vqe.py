@@ -1,9 +1,13 @@
 """Expectation math, counts-to-energy, bit-order resolution, VQE driver."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import h2vqe.vqe as vqe_mod
 from h2vqe import fixtures
@@ -222,6 +226,25 @@ class TestEvaluateEnergy:
             est = evaluator.evaluate(params, seed=[31, i])
             assert abs(est.energy - h.identity_coefficient) <= span
 
+    @pytest.mark.parametrize("hamiltonian, n_qubits", [("4q", 4), ("2q", 2)])
+    def test_matches_energy_from_counts_exactly(self, hamiltonian, n_qubits):
+        cfg = VqeConfig(
+            hamiltonian=hamiltonian,
+            ansatz=AnsatzSpec(n_qubits=n_qubits),
+            noise=NoiseModel(readout_enabled=True),
+        )
+        evaluator = EnergyEvaluator.from_config(cfg)
+        rng = np.random.default_rng(41)
+        for i in range(10):
+            params = rng.uniform(-np.pi, np.pi, evaluator.parameter_count())
+            est = evaluator.evaluate(params, seed=[43, i])
+            ref = energy_from_counts(
+                evaluator.hamiltonian, evaluator.groups, est.group_counts,
+                BitOrder.Q0_RIGHTMOST,
+            )
+            assert ref.energy == est.energy
+            assert ref.expectations == est.expectations
+
 
 class TestRunVqe:
     def test_determinism(self):
@@ -314,7 +337,58 @@ class TestRunVqe:
         assert abs(medians["4q"] - medians["2q"]) < 0.05
 
 
+_PROBABILITY = st.floats(0.0, 1.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid VqeConfig; a disabled noise channel keeps its default rates."""
+    n_qubits = draw(st.integers(2, 6))
+    ansatz = AnsatzSpec(
+        draw(st.sampled_from(("ry", "ryrz"))),
+        draw(st.sampled_from(("linear", "circular", "full"))),
+        draw(st.integers(1, 4)),
+        n_qubits,
+    )
+    optimizer = OptimizerConfig(
+        method=draw(st.sampled_from(("spsa", "cobyla", "nelder-mead", "powell"))),
+        max_iterations=draw(st.integers(1, 500)),
+        tolerance=draw(st.floats(1e-9, 1.0)),
+        spsa_a=draw(st.floats(-10.0, 10.0)),
+        spsa_calibrate=draw(st.booleans()),
+        spsa_calibration_pairs=draw(st.integers(0, 100)),
+        rhobeg=draw(st.floats(1e-3, 10.0)),
+        nm_shrink=draw(st.floats(0.0, 1.0)),
+    )
+    noise = NoiseModel()
+    if draw(st.booleans()):
+        noise = replace(
+            noise, gate_enabled=True, p1=draw(_PROBABILITY), p2=draw(_PROBABILITY)
+        )
+    pair = st.tuples(_PROBABILITY, _PROBABILITY)
+    readout = draw(st.one_of(
+        st.none(), pair, st.lists(pair, min_size=n_qubits, max_size=n_qubits)
+    ))
+    if readout is not None:
+        noise = replace(noise, readout_enabled=True, readout=tuple(readout))
+    return VqeConfig(
+        hamiltonian=draw(st.sampled_from(("4q", "2q"))),
+        ansatz=ansatz,
+        optimizer=optimizer,
+        shots=draw(st.integers(1, 8192)),
+        noise=noise,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        initial_params=draw(st.sampled_from(("uniform", "zeros"))),
+    )
+
+
 class TestVqeConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_dict_round_trip_property(self, cfg):
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        assert VqeConfig.from_dict(doc) == cfg
+
     def test_shot_bounds(self):
         with pytest.raises(ValueError):
             VqeConfig(shots=0)
