@@ -52,12 +52,10 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        for g in self.gates:
-            if any(not 0 <= q < self.n_qubits for q in g.qubits):
-                raise ValueError(
-                    f"gate {g.name} on {g.qubits} out of range for "
-                    f"{self.n_qubits} qubits"
-                )
+        n, qubits = self.n_qubits, [q for g in self.gates for q in g.qubits]
+        if min(qubits, default=0) < 0 or max(qubits, default=0) >= n:
+            g = next(g for g in self.gates if not all(0 <= q < n for q in g.qubits))
+            raise ValueError(f"gate {g.name} on {g.qubits} out of range for {n} qubits")
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:

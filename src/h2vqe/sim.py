@@ -9,17 +9,25 @@ errors flip each measured bit independently. Shots are i.i.d., so this has
 the distribution of per-shot trajectories that insert a random Pauli after
 a faulty gate.
 
-The density matrix is a flat vector of 4^n entries: base-4 digit q of the
-position of rho[i, j] is 2 * i_q + j_q, so axis q holds qubit q's row and
-column bits. A one-qubit gate and its error act as one 4x4 superoperator
-D(p) (U (x) U*) on that axis; a CX permutes the entries, then D(p2) acts
-on both of its axes.
+One gate walker (:func:`_walk`) runs every circuit. Its array has one axis
+of width k per qubit: k = 2 for a statevector, and k = 4 for the density
+matrix, stored flat so that base-4 digit q of the position of rho[i, j] is
+2 * i_q + j_q; axis q then holds qubit q's row and column bits. A qubit's
+one-qubit gates wait, fused into one k x k map, until a CX touches the
+qubit or the circuit ends; a flush is one matmul on that axis. On rho a
+gate U acts as U (x) U*, and a flush also applies the depolarizing map
+D(f) of the errors the qubit collected, which commutes with every unitary
+on its own qubit. A CX is a cached gather of the entries. The walk starts
+in float64 and turns complex at the first rz, so an ry ansatz with H
+post-rotations never does complex arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,25 +41,7 @@ DEFAULT_P1 = 0.001
 DEFAULT_P2 = 0.005
 DEFAULT_READOUT = (0.02, 0.02)
 
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-    )
-
-
-@lru_cache(maxsize=256)
-def _lower_indices(n: int, q: int) -> np.ndarray:
-    """Basis indices with bit q clear; treat as read-only."""
-    i = np.arange(2**n)
-    return i[(i >> q) & 1 == 0]
+_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 @lru_cache(maxsize=256)
@@ -61,33 +51,105 @@ def _cx_permutation(n: int, control: int, target: int) -> np.ndarray:
     flip = (i >> control) & 1 == 1
     perm = i.copy()
     perm[flip] ^= 1 << target
+    perm.setflags(write=False)
     return perm
 
 
-def _apply_single(state: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    i0 = _lower_indices(n, q)
-    i1 = i0 + (1 << q)
-    s0, s1 = state[i0], state[i1]
-    out = np.empty_like(state)
-    out[i0] = m[0, 0] * s0 + m[0, 1] * s1
-    out[i1] = m[1, 0] * s0 + m[1, 1] * s1
-    return out
+@lru_cache(maxsize=64)
+def _depolarizing_superop(f: float) -> np.ndarray:
+    """Read-only depolarizing map on one axis, f = 1 - 4p/3 for error rate p.
+
+    f rho + (1 - f) Tr_q(rho) (x) I/2 equals (1 - p) rho + (p/3) sum_P P rho P,
+    and two such maps compose to the one with the product of their f.
+    """
+    a, b = (1.0 + f) / 2.0, (1.0 - f) / 2.0
+    d = np.array([[a, 0, 0, b], [0, f, 0, 0], [0, 0, f, 0], [b, 0, 0, a]])
+    d.setflags(write=False)
+    return d
+
+
+def _superop(u: np.ndarray) -> np.ndarray:
+    """U (x) U*: rho -> U rho U^dagger on one (row bit, column bit) axis."""
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
+
+
+@lru_cache(maxsize=32)
+def _interleaved_index(n: int) -> np.ndarray:
+    """Read-only 2^n x 2^n array of the flat position of each rho[i, j]."""
+    i = np.arange(2**n)
+    spread = sum(((i >> q) & 1) << (2 * q) for q in range(n))  # bit q -> 2q
+    index = 2 * spread[:, None] + spread[None, :]
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _cx_layout_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Read-only gather that maps the flat rho to CX rho CX."""
+    index = _interleaved_index(n)
+    flip = _cx_permutation(n, control, target)
+    perm = np.empty(4**n, dtype=np.intp)
+    perm[index] = index[flip][:, flip]
+    perm.setflags(write=False)
+    return perm
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
+    """2x2 matrix of a one-qubit gate: real for ry and h, complex for rz."""
     if gate.name == "ry":
-        return _ry(gate.angle)
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        return np.array([[c, -s], [s, c]])
     if gate.name == "rz":
-        return _rz(gate.angle)
+        half = 0.5j * gate.angle
+        return np.array([[cmath.exp(-half), 0.0], [0.0, cmath.exp(half)]])
     return _H_MATRIX
+
+
+def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
+    """Apply ``gates`` to ``r``, whose first axis holds k^n entries.
+
+    k = 2 walks a statevector (any trailing axes ride along), k = 4 the
+    interleaved rho, where each flush also applies D(f), f being the
+    product of f1 per one-qubit gate and f2 per CX on that qubit since its
+    last flush.
+    """
+    cx_gather = _cx_permutation if k == 2 else _cx_layout_permutation
+    # qubit -> (product of gate maps, None before the first; product of f)
+    pending: dict[int, tuple[np.ndarray | None, float]] = {}
+
+    def flush(r: np.ndarray, q: int) -> np.ndarray:
+        m, f = pending.pop(q)
+        if f != 1.0:
+            d = _depolarizing_superop(f)
+            m = d if m is None else d @ m
+        if m is None:
+            return r
+        return (m @ r.reshape(k ** (n - 1 - q), k, -1)).reshape(r.shape)
+
+    for gate in gates:
+        if gate.name == "cx":
+            for q in gate.qubits:
+                if q in pending:
+                    r = flush(r, q)
+            r = r[cx_gather(n, *gate.qubits)]
+            for q in gate.qubits:
+                pending[q] = (None, f2)
+        else:
+            (q,) = gate.qubits
+            m, f = pending.get(q, (None, 1.0))
+            u = _gate_matrix(gate)
+            if k == 4:
+                u = _superop(u)
+            pending[q] = (u if m is None else u @ m, f * f1)
+    for q in list(pending):
+        r = flush(r, q)
+    return r
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     if any(not 0 <= q < n_qubits for q in gate.qubits):
         raise ValueError(f"gate {gate.name} on {gate.qubits} out of range")
-    if gate.name == "cx":
-        return state[_cx_permutation(n_qubits, *gate.qubits)]
-    return _apply_single(state, _gate_matrix(gate), gate.qubits[0], n_qubits)
+    return _walk(state, (gate,), n_qubits, 2)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -99,19 +161,23 @@ def zero_state(n_qubits: int) -> np.ndarray:
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     if len(state) != 2**circuit.n_qubits:
         raise ValueError("state dimension does not match circuit qubit count")
-    for gate in circuit.gates:
-        state = apply_gate(state, gate, circuit.n_qubits)
-    return state
+    return _walk(state, circuit.gates, circuit.n_qubits, 2)
+
+
+def _walk_from_zero(circuit: Circuit, k: int, f1=1.0, f2=1.0) -> np.ndarray:
+    """The walk from |0...0> (or its rho), float64 unless an rz ran."""
+    r = np.zeros(k**circuit.n_qubits)
+    r[0] = 1.0
+    return _walk(r, circuit.gates, circuit.n_qubits, k, f1, f2)
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
-    """Final state of the circuit started from |0...0>."""
-    return apply_circuit(zero_state(circuit.n_qubits), circuit)
+    """Final state of the circuit started from |0...0>, as complex128."""
+    return _walk_from_zero(circuit, 2).astype(complex, copy=False)
 
 
 def probabilities(circuit: Circuit) -> np.ndarray:
-    amps = statevector(circuit)
-    p = np.abs(amps) ** 2
+    p = np.abs(_walk_from_zero(circuit, 2)) ** 2
     return p / p.sum()
 
 
@@ -126,12 +192,14 @@ def post_rotations(group: MeasurementGroup) -> Circuit:
     return Circuit(len(group.basis), tuple(gates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Depolarizing gate errors plus classical readout bit-flips.
 
     ``readout`` is one (p_flip_0to1, p_flip_1to0) pair applied to every
-    qubit, or a tuple of such pairs, one per qubit.
+    qubit, or a tuple of such pairs, one per qubit. Models that sample
+    alike compare equal: the rates of a disabled channel are ignored, and a
+    single per-qubit pair equals the flat pair.
     """
 
     gate_enabled: bool = False
@@ -147,6 +215,17 @@ class NoiseModel:
         for p01, p10 in self._readout_pairs():
             if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
                 raise ValueError(f"readout probability ({p01}, {p10}) outside [0, 1]")
+
+    def _key(self) -> tuple:
+        """The rates of each channel as pairs, None where it is disabled."""
+        gate = (self.p1, self.p2) if self.gate_enabled else None
+        return gate, self._readout_pairs() if self.readout_enabled else None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NoiseModel) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _readout_pairs(self) -> tuple[tuple[float, float], ...]:
         if self.readout and isinstance(self.readout[0], (tuple, list)):
@@ -203,19 +282,13 @@ class NoiseModel:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        doc: dict = {}
-        doc["gate_errors"] = (
-            {"p1": self.p1, "p2": self.p2} if self.gate_enabled else False
-        )
-        pairs = self._readout_pairs()
-        if self.readout_enabled:
-            if len(pairs) == 1:
-                doc["readout_errors"] = {"p01": pairs[0][0], "p10": pairs[0][1]}
-            else:
-                doc["readout_errors"] = {"per_qubit": [list(p) for p in pairs]}
-        else:
-            doc["readout_errors"] = False
-        return doc
+        gate = {"p1": self.p1, "p2": self.p2} if self.gate_enabled else False
+        readout, pairs = False, self._readout_pairs()
+        if self.readout_enabled and len(pairs) == 1:
+            readout = {"p01": pairs[0][0], "p10": pairs[0][1]}
+        elif self.readout_enabled:
+            readout = {"per_qubit": [list(p) for p in pairs]}
+        return {"gate_errors": gate, "readout_errors": readout}
 
     def describe(self) -> str:
         parts = []
@@ -321,7 +394,7 @@ def _sample(
         outcomes = np.repeat(np.arange(len(probs), dtype=np.int64), counts)
         outcomes = _apply_readout_flips(outcomes, rng, noise, n)
         counts = np.bincount(outcomes, minlength=len(probs))
-    return CountsVector(tuple(int(c) for c in counts), shots)
+    return CountsVector(tuple(counts.tolist()), shots)
 
 
 def sample_counts(
@@ -340,82 +413,10 @@ def sample_counts(
     return _sample(probs, shots, _as_rng(seed), noise, n)
 
 
-@lru_cache(maxsize=64)
-def _depolarizing_superop(f: float) -> np.ndarray:
-    """Read-only depolarizing map on one axis, f = 1 - 4p/3 for error rate p.
-
-    f rho + (1 - f) Tr_q(rho) (x) I/2 equals (1 - p) rho + (p/3) sum_P P rho P,
-    and two such maps compose to the one with the product of their f.
-    """
-    a, b = (1.0 + f) / 2.0, (1.0 - f) / 2.0
-    d = np.array([[a, 0, 0, b], [0, f, 0, 0], [0, 0, f, 0], [b, 0, 0, a]])
-    d.setflags(write=False)
-    return d
-
-
-def _superop(u: np.ndarray) -> np.ndarray:
-    """U (x) U*: rho -> U rho U^dagger on one (row bit, column bit) axis."""
-    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 4)
-
-
-@lru_cache(maxsize=32)
-def _interleaved_index(n: int) -> np.ndarray:
-    """Read-only 2^n x 2^n array of the flat position of each rho[i, j]."""
-    i = np.arange(2**n)
-    spread = sum(((i >> q) & 1) << (2 * q) for q in range(n))  # bit q -> 2q
-    index = 2 * spread[:, None] + spread[None, :]
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=256)
-def _cx_layout_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Read-only gather that maps the flat rho to CX rho CX."""
-    index = _interleaved_index(n)
-    flip = _cx_permutation(n, control, target)
-    perm = np.empty(4**n, dtype=np.intp)
-    perm[index] = index[flip][:, flip]
-    perm.setflags(write=False)
-    return perm
-
-
 def _evolve_rho(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Final rho of the circuit, flat in the interleaved layout.
-
-    A qubit's one-qubit gates and error factors wait, fused, until a CX
-    touches it or the circuit ends. This is exact because the depolarizing
-    map commutes with every unitary on its own qubit.
-    """
-    n = circuit.n_qubits
+    """Final rho of the circuit, flat in the interleaved layout."""
     p1, p2 = (noise.p1, noise.p2) if noise.gate_enabled else (0.0, 0.0)
-    f1, f2 = 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0
-    r = np.zeros(4**n, dtype=complex)
-    r[0] = 1.0
-    # qubit -> (product of gate maps, None before the first; product of f)
-    pending: dict[int, tuple[np.ndarray | None, float]] = {}
-
-    def flush(r: np.ndarray, q: int) -> np.ndarray:
-        s, f = pending.pop(q)
-        d = _depolarizing_superop(f)
-        m = d if s is None else d @ s
-        return (m @ r.reshape(4 ** (n - 1 - q), 4, 4**q)).reshape(-1)
-
-    for gate in circuit.gates:
-        if gate.name == "cx":
-            for q in gate.qubits:
-                if q in pending:
-                    r = flush(r, q)
-            r = r[_cx_layout_permutation(n, *gate.qubits)]
-            for q in gate.qubits:
-                pending[q] = (None, f2)
-        else:
-            (q,) = gate.qubits
-            s, f = pending.get(q, (None, 1.0))
-            m = _superop(_gate_matrix(gate))
-            pending[q] = (m if s is None else m @ s, f * f1)
-    for q in list(pending):
-        r = flush(r, q)
-    return r
+    return _walk_from_zero(circuit, 4, 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0)
 
 
 def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -426,7 +427,8 @@ def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     with p = p1 after one-qubit gates and p = p2 after a CX. The result is
     the ordinary 2^n x 2^n matrix, gathered from the interleaved layout.
     """
-    return _evolve_rho(circuit, noise)[_interleaved_index(circuit.n_qubits)]
+    rho = _evolve_rho(circuit, noise)[_interleaved_index(circuit.n_qubits)]
+    return rho.astype(complex, copy=False)
 
 
 def run_noisy(
@@ -450,7 +452,7 @@ def run_noisy(
         # rounding can leave diagonal entries a hair below zero
         probs = np.maximum(_evolve_rho(circuit, noise)[diagonal].real, 0.0)
     else:
-        probs = np.abs(statevector(circuit)) ** 2
+        probs = np.abs(_walk_from_zero(circuit, 2)) ** 2
     return _sample(probs, shots, _as_rng(seed), noise, circuit.n_qubits)
 
 

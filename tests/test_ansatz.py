@@ -113,6 +113,15 @@ def test_gate_validation():
         Circuit(2, (Gate("ry", (5,), 0.1),))
 
 
+def test_circuit_range_error_names_first_bad_gate():
+    gates = (Gate("ry", (0,), 0.1), Gate("cx", (1, 2)), Gate("ry", (-1,), 0.2))
+    message = r"gate cx on \(1, 2\) out of range for 2 qubits"
+    with pytest.raises(ValueError, match=message):
+        Circuit(2, gates)
+    with pytest.raises(ValueError, match=r"gate ry on \(-1,\) out of range"):
+        Circuit(2, gates[2:])
+
+
 def test_spec_from_dict():
     spec = AnsatzSpec.from_dict({"form": "RyRz", "entanglement": "FULL", "reps": 3})
     assert spec == AnsatzSpec("ryrz", "full", 3, 4)

@@ -1,5 +1,6 @@
 """Simulator semantics, sampling statistics, and noise-channel behavior."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from h2vqe.ansatz import AnsatzSpec, Circuit, Gate, build_circuit, parameter_cou
 from h2vqe.pauli import MeasurementGroup, group_terms, h2_2qubit, h2_4qubit
 from h2vqe.sim import (
     CountsVector,
+    _cx_permutation,
     NoiseModel,
     apply_circuit,
     apply_gate,
@@ -333,6 +335,117 @@ class TestDensityMatrix:
         assert stat < CHI2_CRIT[3]
 
 
+def random_circuits(n, rng):
+    """Random-angle circuits on n qubits, all ending in one random H post-rotation.
+
+    For n >= 2, the ry and ryrz ansatzes with each entangler; for n = 1,
+    a random sequence of ry, rz and h.
+    """
+    if n == 1:
+        names = [str(name) for name in rng.choice(["ry", "rz", "h"], size=8)]
+        bodies = [Circuit(1, tuple(
+            Gate(name, (0,), None if name == "h" else float(rng.uniform(-4, 4)))
+            for name in names
+        ))]
+    else:
+        bodies = []
+        for form in ("ry", "ryrz"):
+            for ent in ("linear", "circular", "full"):
+                spec = AnsatzSpec(form, ent, reps=2, n_qubits=n)
+                params = rng.uniform(-np.pi, np.pi, parameter_count(spec))
+                bodies.append(build_circuit(spec, params))
+    basis = tuple(str(b) for b in rng.choice(["X", "Z"], size=n))
+    rotation = post_rotations(MeasurementGroup(0, basis, ()))
+    return [body.concat(rotation) for body in bodies]
+
+
+def dense_apply(circuit, state):
+    """Reference statevector run: one kron-embedded unitary per gate."""
+    for gate in circuit.gates:
+        state = dense_unitary(gate, circuit.n_qubits) @ state
+    return state
+
+
+BASIS_XZXZ = MeasurementGroup(0, ("X", "Z", "X", "Z"), ())
+
+# run_noisy counts of two fixed 4q circuits (4096 shots, H on qubits 0 and
+# 2), recorded before the gate walker replaced the per-gate kernels. They
+# pin the simulated distributions and the seeded draw order of every arm.
+PINNED_ARMS = {
+    "ideal": ([2021, 0], NoiseModel()),
+    "readout": ([2021, 1], NoiseModel(readout_enabled=True, readout=(0.03, 0.01))),
+    "gate+readout": ([2021, 2], NoiseModel(
+        gate_enabled=True, readout_enabled=True, p1=0.01, p2=0.03
+    )),
+}
+PINNED_COUNTS = {
+    ("ry", "linear", "ideal"): (
+        400, 132, 662, 154, 1278, 13, 884, 2, 200, 48, 39, 13, 150, 0, 120, 1),
+    ("ry", "linear", "readout"): (
+        375, 157, 647, 168, 1146, 56, 851, 21, 206, 45, 55, 21, 191, 5, 143, 9),
+    ("ry", "linear", "gate+readout"): (
+        499, 167, 523, 177, 940, 132, 696, 100, 215, 45, 116, 28, 197, 31, 180, 50),
+    ("ryrz", "circular", "ideal"): (
+        357, 28, 108, 83, 593, 83, 471, 523, 168, 53, 320, 52, 9, 93, 823, 332),
+    ("ryrz", "circular", "readout"): (
+        324, 35, 123, 79, 544, 111, 500, 533, 173, 53, 308, 53, 40, 97, 804, 319),
+    ("ryrz", "circular", "gate+readout"): (
+        366, 143, 191, 152, 400, 149, 439, 365, 184, 118, 316, 162, 114, 120, 554, 323),
+}
+
+
+class TestWalker:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(200 + n)
+        for circ in random_circuits(n, rng):
+            start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            start /= np.linalg.norm(start)
+            expected = dense_apply(circ, zero_state(n))
+            assert np.abs(statevector(circ) - expected).max() < 1e-12
+            expected = dense_apply(circ, start)
+            assert np.abs(apply_circuit(start, circ) - expected).max() < 1e-12
+
+    def test_apply_gate_batch_matches_columns(self):
+        rng = np.random.default_rng(7)
+        n, width = 3, 5
+        batch = rng.normal(size=(2**n, width)) + 1j * rng.normal(size=(2**n, width))
+        circ = random_circuits(n, rng)[3]  # ryrz/linear
+        for gate in circ.gates + (Gate("h", (1,)), Gate("cx", (2, 0))):
+            out = apply_gate(batch, gate, n)
+            columns = [apply_gate(batch[:, j], gate, n) for j in range(width)]
+            assert out.shape == batch.shape
+            assert np.abs(out - np.stack(columns, axis=1)).max() <= 1e-15
+            batch = out
+
+    def test_real_path_returns_complex_and_matches_complex_path(self):
+        spec = AnsatzSpec("ry", "linear", 2, 4)
+        circ = build_circuit(spec, np.linspace(-1.3, 1.1, 12))
+        circ = circ.concat(post_rotations(BASIS_XZXZ))
+        state = statevector(circ)
+        assert state.dtype == np.complex128
+        rho = density_matrix(circ, NoiseModel(gate_enabled=True))
+        assert rho.dtype == np.complex128
+        # rz(0) is the identity, but its complex matrix sends the walk complex
+        with_rz = Circuit(4, (Gate("rz", (0,), 0.0),) + circ.gates)
+        assert np.abs(statevector(with_rz) - state).max() <= 1e-15
+
+    def test_cx_permutation_read_only(self):
+        perm = _cx_permutation(3, 0, 2)
+        with pytest.raises(ValueError):
+            perm[0] = 1
+
+    @pytest.mark.parametrize("arm", list(PINNED_ARMS))
+    @pytest.mark.parametrize("form, ent", [("ry", "linear"), ("ryrz", "circular")])
+    def test_pinned_counts(self, form, ent, arm):
+        spec = AnsatzSpec(form, ent, 2, 4)
+        params = np.linspace(-1.3, 1.1, parameter_count(spec))
+        circ = build_circuit(spec, params).concat(post_rotations(BASIS_XZXZ))
+        seed, noise = PINNED_ARMS[arm]
+        cv = run_noisy(circ, 4096, seed, noise)
+        assert cv.counts == PINNED_COUNTS[form, ent, arm]
+
+
 class TestCountsVector:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -409,6 +522,17 @@ class TestNoiseModel:
         assert NoiseModel.from_dict(nm.to_dict()) == nm
         bare = NoiseModel.from_dict({"gate_errors": True, "readout_errors": True})
         assert bare.p1 == 0.001 and bare.p2 == 0.005 and bare.readout == (0.02, 0.02)
+
+    def test_canonical_round_trip(self):
+        models = [
+            NoiseModel(p1=0.3),
+            NoiseModel(readout=(0.1, 0.1)),
+            NoiseModel(readout_enabled=True, readout=((0.1, 0.2),)),
+        ]
+        for nm in models:
+            assert NoiseModel.from_dict(json.loads(json.dumps(nm.to_dict()))) == nm
+        assert models[0] == models[1] == NoiseModel.ideal()
+        assert models[2] == NoiseModel(readout_enabled=True, readout=(0.1, 0.2))
 
     def test_describe(self):
         assert NoiseModel.ideal().describe() == "ideal"

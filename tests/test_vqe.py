@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,7 +341,11 @@ _PROBABILITY = st.floats(0.0, 1.0)
 
 @st.composite
 def valid_configs(draw):
-    """Any valid VqeConfig; a disabled noise channel keeps its default rates."""
+    """Any valid VqeConfig, including non-canonical noise models.
+
+    A disabled channel may carry any rates, and per-qubit readout may be a
+    single pair; the round trip must still give back an equal model.
+    """
     n_qubits = draw(st.integers(2, 6))
     ansatz = AnsatzSpec(
         draw(st.sampled_from(("ry", "ryrz"))),
@@ -360,17 +363,18 @@ def valid_configs(draw):
         rhobeg=draw(st.floats(1e-3, 10.0)),
         nm_shrink=draw(st.floats(0.0, 1.0)),
     )
-    noise = NoiseModel()
-    if draw(st.booleans()):
-        noise = replace(
-            noise, gate_enabled=True, p1=draw(_PROBABILITY), p2=draw(_PROBABILITY)
-        )
     pair = st.tuples(_PROBABILITY, _PROBABILITY)
     readout = draw(st.one_of(
-        st.none(), pair, st.lists(pair, min_size=n_qubits, max_size=n_qubits)
+        pair, st.lists(pair, min_size=1, max_size=1),
+        st.lists(pair, min_size=n_qubits, max_size=n_qubits),
     ))
-    if readout is not None:
-        noise = replace(noise, readout_enabled=True, readout=tuple(readout))
+    noise = NoiseModel(
+        gate_enabled=draw(st.booleans()),
+        readout_enabled=draw(st.booleans()),
+        p1=draw(_PROBABILITY),
+        p2=draw(_PROBABILITY),
+        readout=tuple(readout),
+    )
     return VqeConfig(
         hamiltonian=draw(st.sampled_from(("4q", "2q"))),
         ansatz=ansatz,
