@@ -3,11 +3,14 @@
 Basis index ``i`` encodes qubit ``k`` in bit ``k`` (qubit 0 least
 significant). Gate errors are the depolarizing channel after every gate,
 applied exactly to the density matrix; without them the circuit runs as a
-statevector. Either path yields one outcome distribution, and every noise
-arm samples it the same way: one multinomial over all shots, then readout
-errors flip each measured bit independently. Shots are i.i.d., so this has
-the distribution of per-shot trajectories that insert a random Pauli after
-a faulty gate.
+statevector. Either path yields one outcome distribution p. Readout errors
+flip each measured bit independently, 0 -> 1 with probability p01[q] and
+1 -> 0 with p10[q], which is the confusion channel p' = (x)_q A_q p with
+A_q = [[1 - p01[q], p10[q]], [p01[q], 1 - p10[q]]] on qubit q's axis.
+Every noise arm then draws all shots from p' (p itself without readout
+errors) in one multinomial. Shots are i.i.d., so this has the distribution
+of per-shot trajectories that insert a random Pauli after a faulty gate
+and flip each measured bit.
 
 One gate walker (:func:`_walk`) runs every circuit. Its array has one axis
 of width k per qubit: k = 2 for a statevector, and k = 4 for the density
@@ -105,6 +108,11 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     return _H_MATRIX
 
 
+def _on_axis(m: np.ndarray, r: np.ndarray, q: int, n: int, k: int) -> np.ndarray:
+    """The k x k map m applied to qubit q's axis of r (k^n leading entries)."""
+    return (m @ r.reshape(k ** (n - 1 - q), k, -1)).reshape(r.shape)
+
+
 def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
     """Apply ``gates`` to ``r``, whose first axis holds k^n entries.
 
@@ -122,9 +130,7 @@ def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
         if f != 1.0:
             d = _depolarizing_superop(f)
             m = d if m is None else d @ m
-        if m is None:
-            return r
-        return (m @ r.reshape(k ** (n - 1 - q), k, -1)).reshape(r.shape)
+        return r if m is None else _on_axis(m, r, q, n, k)
 
     for gate in gates:
         if gate.name == "cx":
@@ -370,18 +376,6 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _apply_readout_flips(
-    outcomes: np.ndarray, rng: np.random.Generator, noise: NoiseModel, n: int
-) -> np.ndarray:
-    p01, p10 = noise.readout_probs(n)
-    for q in range(n):
-        bits = (outcomes >> q) & 1
-        p_flip = np.where(bits == 0, p01[q], p10[q])
-        flips = rng.random(outcomes.shape[0]) < p_flip
-        outcomes = outcomes ^ (flips.astype(np.int64) << q)
-    return outcomes
-
-
 def _sample(
     probs: np.ndarray,
     shots: int,
@@ -389,22 +383,23 @@ def _sample(
     noise: NoiseModel | None,
     n: int,
 ) -> CountsVector:
-    counts = rng.multinomial(shots, probs / probs.sum())
     if noise is not None and noise.readout_enabled:
-        outcomes = np.repeat(np.arange(len(probs), dtype=np.int64), counts)
-        outcomes = _apply_readout_flips(outcomes, rng, noise, n)
-        counts = np.bincount(outcomes, minlength=len(probs))
+        p01, p10 = noise.readout_probs(n)
+        for q in range(n):
+            a = np.array([[1.0 - p01[q], p10[q]], [p01[q], 1.0 - p10[q]]])
+            probs = _on_axis(a, probs, q, n, 2)
+    counts = rng.multinomial(shots, probs / probs.sum())
     return CountsVector(tuple(counts.tolist()), shots)
 
 
 def sample_counts(
     state: np.ndarray, shots: int, seed, noise: NoiseModel | None = None
 ) -> CountsVector:
-    """Multinomial shot sampling from |amplitude|^2, plus readout flips.
+    """Multinomial shot sampling from |amplitude|^2 after readout errors.
 
-    Deterministic for a fixed (state, shots, seed, noise). Draw order:
-    one multinomial over outcomes, then per qubit (ascending) one uniform
-    array over all shots deciding the readout flips.
+    Deterministic for a fixed (state, shots, seed, noise). An enabled
+    readout channel is applied exactly to the distribution, so every arm
+    makes one draw: a multinomial over outcomes, and no per-shot uniforms.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -439,11 +434,11 @@ def run_noisy(
     The outcome distribution is diag(rho) of :func:`density_matrix` when
     gate noise is active (enabled with p1 or p2 nonzero), read straight
     from the interleaved layout with entries below zero clipped to zero,
-    and |amplitude|^2 of the statevector otherwise. Every noise arm then draws
-    in the same order as :func:`sample_counts`: one multinomial over
-    outcomes, then the readout-flip uniforms per qubit. So with gate noise
-    inert this returns the counts of
-    ``sample_counts(statevector(circuit), ...)`` for the same seed.
+    and |amplitude|^2 of the statevector otherwise. Every noise arm then
+    samples it as :func:`sample_counts` does: the readout channel, if
+    enabled, then one multinomial over outcomes. So with gate noise inert
+    this returns the counts of ``sample_counts(statevector(circuit), ...)``
+    for the same seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

@@ -224,6 +224,9 @@ class VqeConfig:
                 f"gate noise is limited to {DENSE_QUBIT_CAP} qubits, "
                 f"got a {self.ansatz.n_qubits}-qubit ansatz"
             )
+        if self.noise.readout_enabled:
+            # one pair, or one per qubit; raises at load, not at the first shot
+            self.noise.readout_probs(self.ansatz.n_qubits)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VqeConfig":

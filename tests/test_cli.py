@@ -43,6 +43,12 @@ def small_vqe_config(**overrides):
     return doc
 
 
+# per-qubit readout for three qubits, one short of the default 4q ansatz
+THREE_QUBIT_READOUT = {
+    "readout_errors": {"per_qubit": [[0.1, 0.0], [0.0, 0.2], [0.0, 0.0]]}
+}
+
+
 def fixture_file(tmp_path, name, **extra):
     cv = fixtures.fixture_counts(name)
     doc = counts_to_dict(
@@ -153,6 +159,13 @@ class TestRun:
         batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
         assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
         assert not os.path.exists(tmp_path / "runs.csv")
+
+    def test_per_qubit_readout_length_exit_2(self, tmp_path, capsys):
+        doc = small_vqe_config(noise=THREE_QUBIT_READOUT)
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert "3 readout pairs for 4 qubits" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "result.json")
 
     @pytest.mark.parametrize("overrides, named", [
         ({"ansatz": 3}, "ansatz"),
@@ -359,6 +372,13 @@ class TestBatch:
     def test_bad_config_exit_2(self, tmp_path):
         path = write_json(tmp_path / "b.json", {"n_runs": 0})
         assert main(["batch", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+    def test_per_qubit_readout_length_exit_2(self, tmp_path, capsys):
+        doc = {"vqe": small_vqe_config(noise=THREE_QUBIT_READOUT), "n_runs": 2}
+        path = write_json(tmp_path / "b.json", doc)
+        assert main(["batch", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert "3 readout pairs for 4 qubits" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs.csv")
 
 
 class TestEnergyFromCounts:

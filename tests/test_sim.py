@@ -29,7 +29,7 @@ from h2vqe.sim import (
 BELL = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
 
 # chi-squared criticals for p = 0.001 (df -> value)
-CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266}
+CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266, 15: 37.697}
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -244,6 +244,35 @@ def trajectory_counts(circuit, p1, p2, shots, rng):
     return np.bincount(np.minimum(outcomes, 2**n - 1), minlength=2**n)
 
 
+def readout_flip_counts(probs, shots, noise, rng):
+    """Reference sampler: per-shot readout flips.
+
+    Each shot's outcome is drawn from probs; then, qubit by qubit, a uniform
+    per shot flips its measured bit, 0 -> 1 with probability p01[q] and
+    1 -> 0 with p10[q].
+    """
+    n = len(probs).bit_length() - 1
+    counts = rng.multinomial(shots, probs / probs.sum())
+    outcomes = np.repeat(np.arange(len(probs), dtype=np.int64), counts)
+    p01, p10 = noise.readout_probs(n)
+    for q in range(n):
+        bits = (outcomes >> q) & 1
+        p_flip = np.where(bits == 0, p01[q], p10[q])
+        flips = rng.random(outcomes.shape[0]) < p_flip
+        outcomes = outcomes ^ (flips.astype(np.int64) << q)
+    return np.bincount(outcomes, minlength=len(probs))
+
+
+def confusion_matrix(noise, n):
+    """Dense (x)_q A_q, A_q = [[1 - p01, p10], [p01, 1 - p10]] on qubit q."""
+    p01, p10 = noise.readout_probs(n)
+    full = np.eye(2**n)
+    for q in range(n):
+        a = np.array([[1 - p01[q], p10[q]], [p01[q], 1 - p10[q]]])
+        full = on_qubit(a, q, n) @ full
+    return full
+
+
 def dense_unitary(gate, n):
     """Full 2^n unitary of one gate, built by kron embedding."""
     if gate.name == "cx":
@@ -335,6 +364,47 @@ class TestDensityMatrix:
         assert stat < CHI2_CRIT[3]
 
 
+# asymmetric and different on every qubit, so a transposed map or a map on
+# the wrong qubit moves the distribution
+READOUT_PAIRS = ((0.03, 0.01), (0.1, 0.0), (0.0, 0.2), (0.05, 0.05))
+
+
+class TestReadoutChannel:
+    @pytest.mark.parametrize("gate", [False, True])
+    def test_matches_per_shot_flips(self, gate):
+        spec = AnsatzSpec("ryrz", "circular", 2, 4)
+        circ = build_circuit(spec, np.linspace(-1.3, 1.1, parameter_count(spec)))
+        circ = circ.concat(post_rotations(BASIS_XZXZ))
+        noise = NoiseModel(
+            gate_enabled=gate, readout_enabled=True, p1=0.01, p2=0.03,
+            readout=READOUT_PAIRS,
+        )
+        if gate:
+            probs = dense_density_matrix(circ, 0.01, 0.03).diagonal().real
+        else:
+            probs = np.abs(dense_apply(circ, zero_state(4))) ** 2
+        shots = 60 * 4096
+        expected = shots * confusion_matrix(noise, 4) @ probs
+        rng = np.random.default_rng(61)
+        pooled = sum(
+            readout_flip_counts(probs, 4096, noise, rng) for _ in range(60)
+        )
+        direct = np.asarray(run_noisy(circ, shots, [61, gate], noise).counts)
+        for observed in (pooled, direct):
+            stat = float(((observed - expected) ** 2 / expected).sum())
+            assert stat < CHI2_CRIT[15]
+
+    def test_flip_lands_on_its_own_qubit(self):
+        # only qubit 0 can flip, so from |00> outcomes 2 and 3 never appear
+        noise = NoiseModel(readout_enabled=True, readout=((0.5, 0.0), (0.0, 0.0)))
+        for cv in (
+            run_noisy(Circuit(2, ()), 8192, 71, noise),
+            sample_counts(zero_state(2), 8192, 72, noise),
+        ):
+            assert cv.counts[2] == 0 and cv.counts[3] == 0
+            assert binomial_within_5_sigma(cv.counts[1], 8192, 0.5)
+
+
 def random_circuits(n, rng):
     """Random-angle circuits on n qubits, all ending in one random H post-rotation.
 
@@ -369,8 +439,10 @@ def dense_apply(circuit, state):
 BASIS_XZXZ = MeasurementGroup(0, ("X", "Z", "X", "Z"), ())
 
 # run_noisy counts of two fixed 4q circuits (4096 shots, H on qubits 0 and
-# 2), recorded before the gate walker replaced the per-gate kernels. They
-# pin the simulated distributions and the seeded draw order of every arm.
+# 2). They pin the simulated distributions and the seeded draw order of
+# every arm. The ideal cases were recorded before the gate walker replaced
+# the per-gate kernels; the readout and gate+readout cases when the exact
+# readout channel replaced per-shot bit flips.
 PINNED_ARMS = {
     "ideal": ([2021, 0], NoiseModel()),
     "readout": ([2021, 1], NoiseModel(readout_enabled=True, readout=(0.03, 0.01))),
@@ -382,15 +454,15 @@ PINNED_COUNTS = {
     ("ry", "linear", "ideal"): (
         400, 132, 662, 154, 1278, 13, 884, 2, 200, 48, 39, 13, 150, 0, 120, 1),
     ("ry", "linear", "readout"): (
-        375, 157, 647, 168, 1146, 56, 851, 21, 206, 45, 55, 21, 191, 5, 143, 9),
+        367, 164, 633, 173, 1156, 40, 866, 31, 226, 48, 53, 19, 181, 10, 124, 5),
     ("ry", "linear", "gate+readout"): (
-        499, 167, 523, 177, 940, 132, 696, 100, 215, 45, 116, 28, 197, 31, 180, 50),
+        505, 173, 523, 160, 920, 126, 714, 104, 218, 49, 111, 37, 213, 27, 160, 56),
     ("ryrz", "circular", "ideal"): (
         357, 28, 108, 83, 593, 83, 471, 523, 168, 53, 320, 52, 9, 93, 823, 332),
     ("ryrz", "circular", "readout"): (
-        324, 35, 123, 79, 544, 111, 500, 533, 173, 53, 308, 53, 40, 97, 804, 319),
+        316, 32, 111, 73, 508, 123, 485, 516, 185, 68, 319, 72, 45, 87, 774, 382),
     ("ryrz", "circular", "gate+readout"): (
-        366, 143, 191, 152, 400, 149, 439, 365, 184, 118, 316, 162, 114, 120, 554, 323),
+        370, 137, 204, 146, 402, 143, 423, 367, 176, 113, 318, 163, 117, 134, 563, 320),
 }
 
 

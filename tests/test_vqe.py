@@ -429,6 +429,17 @@ class TestVqeConfig:
             noise=NoiseModel(gate_enabled=True),
         )
 
+    def test_per_qubit_readout_length(self):
+        three = ((0.1, 0.0), (0.0, 0.2), (0.05, 0.05))
+        with pytest.raises(ValueError, match="3 readout pairs for 4 qubits"):
+            VqeConfig(noise=NoiseModel(readout_enabled=True, readout=three))
+        VqeConfig(noise=NoiseModel(readout=three))  # disabled: rates unused
+        VqeConfig(noise=NoiseModel(readout_enabled=True, readout=three[:1]))
+        VqeConfig(
+            ansatz=AnsatzSpec(n_qubits=3),
+            noise=NoiseModel(readout_enabled=True, readout=three),
+        )
+
     def test_missing_shots_defaults(self):
         cfg = VqeConfig.from_dict({"seed": 5})
         assert cfg.shots == 4096
