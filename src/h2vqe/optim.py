@@ -185,9 +185,9 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     return trace.best_x, trace.best_value, trace
 
 
-# COBYLA simplex-acceptability bounds: edge lengths within
-# [_COBYLA_ALPHA * rho, _COBYLA_BETA * rho]; beta > 2 keeps a fresh simplex
-# acceptable across one rho halving.
+# COBYLA simplex-acceptability bounds: each edge at most _COBYLA_BETA * rho
+# long and at least _COBYLA_ALPHA * rho from the span of the other edges;
+# beta > 2 keeps a fresh simplex acceptable across one rho halving.
 _COBYLA_ALPHA = 0.25
 _COBYLA_BETA = 2.1
 
@@ -200,6 +200,13 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     trust-radius boundary against the interpolated gradient. rho halves
     whenever a trust step achieves less than a tenth of its predicted
     decrease, from ``rhobeg`` down to ``tolerance``. Unconstrained.
+
+    One inverse of E, whose rows are the edges from the best vertex, serves
+    each iteration. Column j of E^-1 is orthogonal to every other edge, so
+    edge j lies 1/||column j|| from their span and the normalized column is
+    its repair direction. The simplex is acceptable when every edge is at
+    most ``_COBYLA_BETA * rho`` long and at least ``_COBYLA_ALPHA * rho``
+    from that span. The interpolated gradient is E^-1 (f_j - f_0).
     """
     del seed  # deterministic method; accepted for interface uniformity
     trace = Trace()
@@ -217,18 +224,13 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
         edges = np.array([p - pts[0] for p in pts[1:]])
-        dvals = np.array(vals[1:]) - vals[0]
-        bad = _cobyla_bad_vertex(edges, rho)
-        if bad is not None:
-            direction = _cobyla_repair_direction(edges, bad, n)
-            g = np.linalg.lstsq(edges, dvals, rcond=None)[0]
-            if g @ direction > 0:
-                direction = -direction
+        g, repair = _cobyla_geometry(edges, np.array(vals[1:]) - vals[0], rho)
+        if repair is not None:
+            bad, direction = repair
             cand = pts[0] + 0.5 * rho * direction
             vals[bad + 1] = fn(cand)
             pts[bad + 1] = cand
             continue
-        g = np.linalg.solve(edges, dvals)
         gnorm = float(np.linalg.norm(g))
         if gnorm * rho < 1e-14:
             if rho <= rhoend:
@@ -248,40 +250,34 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     return trace.best_x, trace.best_value, trace
 
 
-def _cobyla_bad_vertex(edges: np.ndarray, rho: float) -> int | None:
-    """Index (into edges) of a vertex violating the acceptability bounds."""
+def _cobyla_geometry(edges: np.ndarray, dvals: np.ndarray, rho: float):
+    """Interpolated gradient and geometry repair from one inverse of E.
+
+    Returns ``(g, repair)``. ``repair`` is None for an acceptable simplex,
+    else ``(bad, direction)``: the first violating edge (the longest one if
+    any is too long) and a unit step direction orthogonal to the other
+    edges, pointing downhill along ``g``.
+    """
+    try:
+        inv = np.linalg.inv(edges)
+    except np.linalg.LinAlgError:
+        # singular E: the left null vector weights the dependent edges; the
+        # right null vector is orthogonal to every edge, and no gradient is
+        # known along it
+        u, _, vt = np.linalg.svd(edges)
+        return None, (int(np.argmax(np.abs(u[:, -1]))), vt[-1])
+    g = inv @ dvals
+    dist = 1.0 / np.linalg.norm(inv, axis=0)
     lengths = np.linalg.norm(edges, axis=1)
+    close = dist < _COBYLA_ALPHA * rho
     if lengths.max() > _COBYLA_BETA * rho:
-        return int(np.argmax(lengths))
-    n = edges.shape[0]
-    for j in range(n):
-        others = np.delete(edges, j, axis=0)
-        if others.size:
-            q, _ = np.linalg.qr(others.T, mode="reduced")
-            perp = edges[j] - q @ (q.T @ edges[j])
-        else:
-            perp = edges[j]
-        if np.linalg.norm(perp) < _COBYLA_ALPHA * rho:
-            return j
-    return None
-
-
-def _cobyla_repair_direction(edges: np.ndarray, bad: int, n: int) -> np.ndarray:
-    """Unit direction orthogonal to the span of the other edges."""
-    others = np.delete(edges, bad, axis=0)
-    if others.size:
-        q, _ = np.linalg.qr(others.T, mode="reduced")
-        residual = np.eye(n) - q @ q.T
-        col = int(np.argmax(np.linalg.norm(residual, axis=0)))
-        direction = residual[:, col]
+        bad = int(np.argmax(lengths))
+    elif close.any():
+        bad = int(np.argmax(close))
     else:
-        direction = np.zeros(n)
-        direction[0] = 1.0
-    norm = np.linalg.norm(direction)
-    if norm < 1e-12:
-        direction = np.eye(n)[bad % n]  # coordinate-step fallback
-        norm = 1.0
-    return direction / norm
+        return g, None
+    direction = inv[:, bad] * dist[bad]
+    return g, (bad, -direction if g @ direction > 0 else direction)
 
 
 def shrink_simplex(points: list[np.ndarray], factor: float) -> list[np.ndarray]:

@@ -74,22 +74,22 @@ def sqrt_dot(u, v) -> float:
     return float(np.sqrt(u * v).sum())
 
 
-_MEASURE_FNS = {"jt": jt_index, "sqrtdot": sqrt_dot}
+_ROW_MEASURES = {
+    "jt": lambda u, rest: np.minimum(u, rest).sum(1) / np.maximum(u, rest).sum(1),
+    "sqrtdot": lambda u, rest: np.sqrt(u * rest).sum(1),
+}
 
 
 def batch_average_similarity(batch, measure="jt") -> np.ndarray:
-    """Per-vector mean similarity against the whole batch, self included."""
-    fn = _MEASURE_FNS[measure] if isinstance(measure, str) else measure
-    vectors = [probability_vector(b) for b in batch]
-    if not vectors:
+    """Per-vector mean "jt" or "sqrtdot" similarity against the whole
+    batch, self included."""
+    row_fn = _ROW_MEASURES[measure]
+    vectors = np.array([probability_vector(b) for b in batch])
+    if not len(vectors):
         raise ValueError("empty batch")
-    m = len(vectors)
-    sims = np.zeros((m, m))
-    for i in range(m):
-        sims[i, i] = fn(vectors[i], vectors[i])
-        for j in range(i + 1, m):
-            s = fn(vectors[i], vectors[j])
-            sims[i, j] = sims[j, i] = s
+    sims = np.zeros((len(vectors), len(vectors)))
+    for i, u in enumerate(vectors):
+        sims[i, i:] = sims[i:, i] = row_fn(u, vectors[i:])
     return sims.mean(axis=1)
 
 

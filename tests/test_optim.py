@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from h2vqe.ansatz import AnsatzSpec
 from h2vqe.optim import (
+    _COBYLA_ALPHA,
+    _COBYLA_BETA,
     OptimizationAbort,
     OptimizerConfig,
     Trace,
+    _cobyla_geometry,
     cobyla_minimize,
     minimize,
     nelder_mead_minimize,
@@ -16,6 +20,8 @@ from h2vqe.optim import (
     shrink_simplex,
     spsa_minimize,
 )
+from h2vqe.sim import NoiseModel
+from h2vqe.vqe import EnergyEvaluator, get_hamiltonian
 
 
 def sphere(x):
@@ -134,6 +140,118 @@ class TestCobyla:
         cfg = OptimizerConfig(method="cobyla", max_iterations=500)
         _, f_best, _ = cobyla_minimize(f, np.array([2.0, 2.0]), cfg)
         assert f_best < 1e-3
+
+
+    def test_pinned_trajectory(self):
+        # recorded from this implementation: a change that moves COBYLA
+        # trajectories on a deterministic objective moves these numbers
+        evaluator = EnergyEvaluator(
+            get_hamiltonian("2q"), AnsatzSpec(n_qubits=2), 4096, NoiseModel()
+        )
+        x0 = np.random.default_rng(3).uniform(
+            -math.pi, math.pi, evaluator.parameter_count()
+        )
+        cfg = OptimizerConfig(method="cobyla", max_iterations=150)
+        _, f_best, trace = cobyla_minimize(evaluator.evaluate_analytic, x0, cfg)
+        assert len(trace) == 90
+        assert f_best == pytest.approx(-1.867109366563296, abs=1e-12)
+
+
+def qr_distances(edges):
+    """Reference: distance of each edge from the span of the others, by QR."""
+    dist = []
+    for j in range(edges.shape[0]):
+        others = np.delete(edges, j, axis=0)
+        perp = edges[j]
+        if others.size:
+            q, _ = np.linalg.qr(others.T, mode="reduced")
+            perp = edges[j] - q @ (q.T @ edges[j])
+        dist.append(np.linalg.norm(perp))
+    return np.array(dist)
+
+
+def qr_bad_vertex(edges, rho):
+    """Reference acceptability test: longest edge if too long, else the
+    first edge closer than alpha*rho to the span of the others."""
+    lengths = np.linalg.norm(edges, axis=1)
+    if lengths.max() > _COBYLA_BETA * rho:
+        return int(np.argmax(lengths))
+    close = np.flatnonzero(qr_distances(edges) < _COBYLA_ALPHA * rho)
+    return int(close[0]) if close.size else None
+
+
+def qr_repair_direction(edges, bad):
+    """Reference: unit vector orthogonal to the other edges, from the
+    residual projector of their QR."""
+    n = edges.shape[0]
+    others = np.delete(edges, bad, axis=0)
+    if not others.size:
+        return np.ones(1)
+    q, _ = np.linalg.qr(others.T, mode="reduced")
+    residual = np.eye(n) - q @ q.T
+    direction = residual[:, int(np.argmax(np.linalg.norm(residual, axis=0)))]
+    return direction / np.linalg.norm(direction)
+
+
+def well_conditioned_edges(rng, n):
+    while True:
+        edges = rng.normal(size=(n, n)) * rng.uniform(0.5, 2.0, size=(n, 1))
+        if np.linalg.cond(edges) < 1e3:
+            return edges
+
+
+class TestCobylaGeometry:
+    def test_matches_qr_reference(self):
+        rng = np.random.default_rng(20)
+        several_close = 0
+        for n in range(1, 13):
+            for _ in range(5):
+                edges = well_conditioned_edges(rng, n)
+                dvals = rng.normal(size=n)
+                dist = qr_distances(edges)
+                assert np.allclose(
+                    1.0 / np.linalg.norm(np.linalg.inv(edges), axis=0), dist
+                )
+                # thresholds between distances keep rounding off the boundary
+                cuts = np.concatenate([[0.0], np.sort(dist), [2 * dist.max()]])
+                for alpha_rho in (cuts[:-1] + cuts[1:]) / 2:
+                    rho = alpha_rho / _COBYLA_ALPHA
+                    bad = qr_bad_vertex(edges, rho)
+                    g, repair = _cobyla_geometry(edges, dvals, rho)
+                    assert np.allclose(g, np.linalg.solve(edges, dvals))
+                    if bad is None:
+                        assert repair is None
+                        continue
+                    assert repair[0] == bad
+                    direction = repair[1]
+                    ref = qr_repair_direction(edges, bad)
+                    assert np.allclose(direction, ref) or np.allclose(direction, -ref)
+                    assert g @ direction <= 0
+                    lengths = np.linalg.norm(edges, axis=1)
+                    if lengths.max() <= _COBYLA_BETA * rho:
+                        several_close += (dist < alpha_rho).sum() > 1
+        assert several_close > 20
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[1.0, 0.0], [1.0, 0.0]],
+            [[0.5, 0.5], [-1.0, -1.0]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 2, 0, 0]],
+        ],
+        ids=["zero-edge-2", "parallel-2", "antiparallel-2", "parallel-4"],
+    )
+    def test_singular_simplex_repaired(self, edges):
+        edges = np.array(edges, dtype=float)
+        rho = 1.0
+        g, repair = _cobyla_geometry(edges, np.ones(len(edges)), rho)
+        assert g is None and repair is not None
+        bad, direction = repair
+        assert np.linalg.norm(direction) == pytest.approx(1.0)
+        edges[bad] = 0.5 * rho * direction
+        assert np.linalg.matrix_rank(edges) == len(edges)
+        assert np.linalg.cond(edges) < 10
 
 
 class TestNelderMead:

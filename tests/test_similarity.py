@@ -121,10 +121,16 @@ class TestBatchAveraging:
         with pytest.raises(ValueError):
             batch_average_similarity([], "jt")
 
-    def test_callable_measure(self):
-        batch = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        avg = batch_average_similarity(batch, lambda u, v: 0.5)
-        assert np.allclose(avg, 0.5)
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_equals_pairwise_measures(self, dim):
+        # the row-vectorized matrix reproduces the pairwise measures bit for bit
+        rng = np.random.default_rng(dim)
+        counts = rng.multinomial(4096, rng.dirichlet(np.full(dim, 0.5)), size=9)
+        batch = [c / 4096 for c in counts]
+        for measure, fn in (("jt", jt_index), ("sqrtdot", sqrt_dot)):
+            sims = np.array([[fn(u, v) for v in batch] for u in batch])
+            avg = batch_average_similarity(batch, measure)
+            assert np.array_equal(avg, sims.mean(axis=1))
 
 
 class TestClassification:
