@@ -10,9 +10,9 @@ couples every ordered pair i < j. Control is always the lower qubit index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .fields import read
+from . import fields
 
 FORMS = ("ry", "ryrz")
 ENTANGLEMENTS = ("linear", "circular", "full")
@@ -65,8 +65,8 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    form: str = "ry"
-    entanglement: str = "linear"
+    form: str = field(default="ry", metadata=fields.CASELESS)
+    entanglement: str = field(default="linear", metadata=fields.CASELESS)
     reps: int = 2
     n_qubits: int = 4
 
@@ -88,20 +88,9 @@ class AnsatzSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AnsatzSpec":
-        return cls(
-            form=read(doc, "form", str, "ry").lower(),
-            entanglement=read(doc, "entanglement", str, "linear").lower(),
-            reps=read(doc, "reps", int, 2),
-            n_qubits=read(doc, "n_qubits", int, 4),
-        )
+        return fields.parse(cls, doc, "ansatz")
 
-    def to_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "entanglement": self.entanglement,
-            "reps": self.reps,
-            "n_qubits": self.n_qubits,
-        }
+    to_dict = fields.to_dict
 
 
 def entangler_pairs(spec: AnsatzSpec) -> tuple[tuple[int, int], ...]:

@@ -16,13 +16,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import fixtures
-from .fields import check, read
+from . import fields, fixtures
 from .pauli import Hamiltonian, MeasurementGroup, eigenvalues, group_terms, to_dense
 from .sim import BitOrder, CountsVector, counts_to_dict, load_counts, save_counts
 from .similarity import (
@@ -45,7 +44,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    vqe: VqeConfig
+    vqe: VqeConfig = field(default_factory=VqeConfig)
     n_runs: int = 50
     base_seed: int = 0
     emit_svg: bool = False
@@ -53,20 +52,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        check(doc, dict, "experiment config")
-        known = {"vqe", "n_runs", "base_seed", "emit_svg"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
-        return cls(
-            vqe=VqeConfig.from_dict(read(doc, "vqe", dict, {})),
-            n_runs=read(doc, "n_runs", int, 50),
-            base_seed=read(doc, "base_seed", int, 0),
-            emit_svg=read(doc, "emit_svg", bool, False),
-        )
+        return fields.parse(cls, doc, "experiment")
 
 
 @dataclass
@@ -151,9 +142,11 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
     tasks = [
         (experiment.vqe, k, experiment.base_seed) for k in range(experiment.n_runs)
     ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         results = [_run_single_safe(t) for t in tasks]
     else:
+        # a fork-started pool forks all of its workers up front
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_safe, tasks))
     results.sort(key=lambda rc: rc[0].run_index)
@@ -313,10 +306,10 @@ def _load_vqe_config(path: str, seed_override: int | None) -> VqeConfig:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     try:
         cfg = VqeConfig.from_dict(doc)
+        if seed_override is not None:
+            cfg = replace(cfg, seed=seed_override)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
     return cfg
 
 
@@ -356,10 +349,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
         experiment = ExperimentConfig.from_dict(doc)
+        if args.seed is not None:
+            experiment = replace(experiment, base_seed=args.seed)
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:

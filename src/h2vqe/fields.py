@@ -1,13 +1,21 @@
 """Typed reads of config-document fields.
 
 Config, Hamiltonian and counts files are JSON, so a field arrives as a
-bool, number, string, list or object. Each ``from_dict`` reads its fields
-through :func:`check` or :func:`read`, which raise ``ValueError`` on a
-wrong type, so a bad file fails when it is loaded rather than partway
-through a run.
+bool, number, string, list or object. :func:`check` and :func:`read` raise
+``ValueError`` on a wrong type, so a bad file fails when it is loaded
+rather than partway through a run.
+
+Config blocks are frozen dataclasses, and their fields are the schema:
+:func:`parse` accepts exactly the field names as keys, checks each value
+against the type of its field's default, hands a value whose default has
+a ``from_dict`` to that method, and rejects every other key. A field
+marked with :data:`CASELESS` metadata is lowercased on the way in.
+:func:`to_dict` is the inverse.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 _KIND_NAMES = {
     int: "an integer",
@@ -17,6 +25,8 @@ _KIND_NAMES = {
     dict: "an object",
     list: "a list",
 }
+
+CASELESS = {"caseless": True}
 
 
 def check(value, kind: type, name: str):
@@ -40,3 +50,39 @@ def read(doc: dict, key: str, kind: type, default=None):
     if key not in doc:
         return default
     return check(doc[key], kind, key)
+
+
+def reject_unknown(doc: dict, known, name: str) -> None:
+    """ValueError naming every key of ``doc`` that is not in ``known``."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {unknown}")
+
+
+def parse(cls, doc, name: str):
+    """The dataclass ``cls`` built from the JSON object ``doc``.
+
+    ``cls()`` must build, since its values give each field's type.
+    """
+    specs = {f.name: f for f in dataclasses.fields(cls)}
+    reject_unknown(check(doc, dict, name), specs, name)
+    defaults, kwargs = cls(), {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if hasattr(default, "from_dict"):
+            value = type(default).from_dict(check(value, dict, key))
+        else:
+            value = check(value, type(default), key)
+            if specs[key].metadata.get("caseless"):
+                value = value.lower()
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def to_dict(obj) -> dict:
+    """The fields of dataclass ``obj`` in order, nested blocks as dicts."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = value.to_dict() if hasattr(value, "to_dict") else value
+    return doc

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import check
+from . import fields
 
 METHODS = ("spsa", "cobyla", "nelder-mead", "powell")
 
@@ -96,7 +96,7 @@ class _TracedObjective:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "spsa"
+    method: str = field(default="spsa", metadata=fields.CASELESS)
     max_iterations: int = 150
     tolerance: float = 1e-4
     # SPSA gains: a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma
@@ -130,21 +130,9 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OptimizerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown optimizer fields: {sorted(unknown)}")
-        # every field's default has the field's type
-        norm = {
-            key: check(value, type(getattr(cls, key)), key)
-            for key, value in doc.items()
-        }
-        if "method" in norm:
-            norm["method"] = norm["method"].lower()
-        return cls(**norm)
+        return fields.parse(cls, doc, "optimizer")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = fields.to_dict
 
 
 def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
@@ -155,7 +143,7 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     probes at x0 rescale the gain ``a`` so the first step has magnitude
     ``spsa_target_step`` per component.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     trace = Trace()
     fn = _TracedObjective(f, trace)
     x = np.array(x0, dtype=float)

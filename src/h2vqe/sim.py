@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import Circuit, Gate
-from .fields import check, read
+from .fields import check, read, reject_unknown
 from .pauli import MeasurementGroup
 
 DEFAULT_P1 = 0.001
@@ -262,6 +262,7 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NoiseModel":
+        reject_unknown(doc, ("gate_errors", "readout_errors"), "noise")
         gate = doc.get("gate_errors", False)
         readout = doc.get("readout_errors", False)
         for key, value in (("gate_errors", gate), ("readout_errors", readout)):
@@ -272,9 +273,13 @@ class NoiseModel:
             "readout_enabled": bool(readout),
         }
         if isinstance(gate, dict):
+            reject_unknown(gate, ("p1", "p2"), "gate_errors")
             kwargs["p1"] = read(gate, "p1", float, DEFAULT_P1)
             kwargs["p2"] = read(gate, "p2", float, DEFAULT_P2)
         if isinstance(readout, dict):
+            reject_unknown(readout, ("p01", "p10", "per_qubit"), "readout_errors")
+            if "per_qubit" in readout and len(readout) > 1:
+                raise ValueError("readout_errors: per_qubit excludes p01 and p10")
             if "per_qubit" in readout:
                 kwargs["readout"] = tuple(
                     (check(a, float, "p01"), check(b, float, "p10"))
@@ -370,16 +375,10 @@ class CountsVector:
         return CountsVector(tuple(np.asarray(self.counts)[perm].tolist()), self.shots)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sample(
     probs: np.ndarray,
     shots: int,
-    rng: np.random.Generator,
+    seed,
     noise: NoiseModel | None,
     n: int,
 ) -> CountsVector:
@@ -388,7 +387,7 @@ def _sample(
         for q in range(n):
             a = np.array([[1.0 - p01[q], p10[q]], [p01[q], 1.0 - p10[q]]])
             probs = _on_axis(a, probs, q, n, 2)
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     return CountsVector(tuple(counts.tolist()), shots)
 
 
@@ -405,7 +404,7 @@ def sample_counts(
         raise ValueError("shots must be >= 1")
     n = len(state).bit_length() - 1
     probs = np.abs(np.asarray(state)) ** 2
-    return _sample(probs, shots, _as_rng(seed), noise, n)
+    return _sample(probs, shots, seed, noise, n)
 
 
 def _evolve_rho(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -448,7 +447,7 @@ def run_noisy(
         probs = np.maximum(_evolve_rho(circuit, noise)[diagonal].real, 0.0)
     else:
         probs = np.abs(_walk_from_zero(circuit, 2)) ** 2
-    return _sample(probs, shots, _as_rng(seed), noise, circuit.n_qubits)
+    return _sample(probs, shots, seed, noise, circuit.n_qubits)
 
 
 def counts_to_dict(

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fields
 from .ansatz import AnsatzSpec, build_circuit, parameter_count
-from .fields import check
 from .optim import (
     OptimizationAbort,
     OptimizerConfig,
@@ -211,6 +211,8 @@ class VqeConfig:
     initial_params: str = "uniform"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
         if self.initial_params not in ("uniform", "zeros"):
@@ -230,40 +232,9 @@ class VqeConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VqeConfig":
-        check(doc, dict, "config")
-        known = {
-            "hamiltonian", "ansatz", "optimizer", "shots", "noise", "seed",
-            "initial_params",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, kind in (
-            ("hamiltonian", str), ("shots", int), ("seed", int),
-            ("initial_params", str),
-        ):
-            if key in doc:
-                kwargs[key] = check(doc[key], kind, key)
-        for key, parse in (
-            ("ansatz", AnsatzSpec.from_dict),
-            ("optimizer", OptimizerConfig.from_dict),
-            ("noise", NoiseModel.from_dict),
-        ):
-            if key in doc:
-                kwargs[key] = parse(check(doc[key], dict, key))
-        return cls(**kwargs)
+        return fields.parse(cls, doc, "config")
 
-    def to_dict(self) -> dict:
-        return {
-            "hamiltonian": self.hamiltonian,
-            "ansatz": self.ansatz.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "shots": self.shots,
-            "noise": self.noise.to_dict(),
-            "seed": self.seed,
-            "initial_params": self.initial_params,
-        }
+    to_dict = fields.to_dict
 
 
 def _child_seed(seed, tag: int) -> list[int]:

@@ -172,6 +172,13 @@ class TestRun:
         ({"optimizer": {"spsa_a": "x"}}, "spsa_a"),
         ({"optimizer": {"method": "spsa", "max_iterations": 1.5}},
          "max_iterations"),
+        ({"ansatz": {"entanglment": "full"}}, "entanglment"),
+        ({"noise": {"gate_error": True}}, "gate_error"),
+        ({"noise": {"gate_errors": {"p_1": 0.01}}}, "p_1"),
+        ({"noise": {"readout_errors": {"p_01": 0.05}}}, "p_01"),
+        ({"noise": {"readout_errors": {"per_qubit": [[0.1, 0.0]] * 4,
+                                       "p01": 0.1}}}, "per_qubit"),
+        ({"seed": -1}, "seed"),
     ])
     def test_wrong_type_exit_2(self, tmp_path, capsys, overrides, named):
         doc = small_vqe_config(**overrides)
@@ -222,6 +229,13 @@ class TestRun:
         r2 = json.load(open(out2 / "result.json"))
         assert r1["config"]["seed"] == 99
         assert r1["energy_ha"] == r2["energy_ha"]
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "cfg.json", small_vqe_config())
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path),
+                     "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "result.json")
 
 
 def batch_config(n_runs=3, **vqe_overrides):
@@ -372,6 +386,71 @@ class TestBatch:
     def test_bad_config_exit_2(self, tmp_path):
         path = write_json(tmp_path / "b.json", {"n_runs": 0})
         assert main(["batch", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("base_seed, flags", [(-1, []), (7, ["--seed", "-1"])])
+    def test_negative_base_seed_exit_2(self, tmp_path, capsys, base_seed, flags):
+        doc = dict(batch_config(n_runs=1), base_seed=base_seed)
+        path = write_json(tmp_path / "b.json", doc)
+        assert main(["batch", "--config", path, "--out-dir", str(tmp_path),
+                     *flags]) == 2
+        assert "base_seed must be non-negative" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs.csv")
+
+    def test_seed_overrides_base_seed(self, tmp_path):
+        plain = write_json(tmp_path / "b.json", batch_config(n_runs=2))
+        moved = write_json(
+            tmp_path / "m.json", dict(batch_config(n_runs=2), base_seed=999)
+        )
+        runs = []
+        for name, path, flags in (
+            ("flag", plain, ["--seed", "999"]),
+            ("config", moved, []),
+            ("plain", plain, []),
+        ):
+            out = tmp_path / name
+            assert main(["batch", "--config", path, "--out-dir", str(out),
+                         "--no-timestamp", *flags]) == 0
+            runs.append(open(out / "runs.csv", "rb").read())
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
+
+    def test_pool_no_bigger_than_batch(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for n_runs in (1, 2, 3):
+            path = write_json(tmp_path / "b.json", batch_config(n_runs=n_runs))
+            assert main(["batch", "--config", path, "--out-dir",
+                         str(tmp_path / str(n_runs)), "--workers", "2"]) == 0
+        # one run goes serially; two and three runs fill a 2-process pool
+        assert sizes == [2, 2]
+        path = write_json(tmp_path / "b.json", batch_config(n_runs=2))
+        assert main(["batch", "--config", path, "--out-dir",
+                     str(tmp_path / "wide"), "--workers", "16"]) == 0
+        assert sizes == [2, 2, 2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        path = write_json(tmp_path / "b.json", batch_config(n_runs=1))
+        assert main(["batch", "--config", path, "--out-dir", str(tmp_path),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs.csv")
 
     def test_per_qubit_readout_length_exit_2(self, tmp_path, capsys):
         doc = {"vqe": small_vqe_config(noise=THREE_QUBIT_READOUT), "n_runs": 2}
