@@ -557,8 +557,6 @@ def cmd_similarity(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--no-timestamp", action="store_true",
                         help="suppress the CSV timestamp header line")
@@ -577,11 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common], help="one VQE run")
     p.add_argument("--config", required=True, help="VQE config JSON")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("batch", parents=[common],
                        help="seeded batch of VQE runs")
     p.add_argument("--config", required=True, help="experiment config JSON")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the config base_seed")
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size")
     p.set_defaults(func=cmd_batch)

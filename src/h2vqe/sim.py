@@ -23,6 +23,15 @@ D(f) of the errors the qubit collected, which commutes with every unitary
 on its own qubit. A CX is a cached gather of the entries. The walk starts
 in float64 and turns complex at the first rz, so an ry ansatz with H
 post-rotations never does complex arithmetic.
+
+The walk is an advance (:func:`_advance`), which leaves every qubit's
+fused maps pending, then a flush (:func:`_flush`) of those maps in their
+insertion order. :func:`walk_prefix` stops after the advance and returns a
+read-only :class:`WalkCheckpoint`; ``run_noisy(..., prefix=checkpoint)``
+walks only the gates after the checkpoint's, into a copy of its pending
+maps, then flushes. That is the arithmetic of a full walk, so its counts
+are bit-identical, and one checkpoint of an ansatz serves every
+measurement group's post-rotations.
 """
 
 from __future__ import annotations
@@ -113,30 +122,30 @@ def _on_axis(m: np.ndarray, r: np.ndarray, q: int, n: int, k: int) -> np.ndarray
     return (m @ r.reshape(k ** (n - 1 - q), k, -1)).reshape(r.shape)
 
 
-def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
-    """Apply ``gates`` to ``r``, whose first axis holds k^n entries.
+def _apply_pending(r: np.ndarray, q: int, m, f: float, n: int, k: int) -> np.ndarray:
+    """Qubit q's pending map m (None for none), then D(f) on the rho path."""
+    if f != 1.0:
+        d = _depolarizing_superop(f)
+        m = d if m is None else d @ m
+    return r if m is None else _on_axis(m, r, q, n, k)
 
-    k = 2 walks a statevector (any trailing axes ride along), k = 4 the
-    interleaved rho, where each flush also applies D(f), f being the
-    product of f1 per one-qubit gate and f2 per CX on that qubit since its
-    last flush.
+
+def _advance(r: np.ndarray, pending: dict, gates, n: int, k: int, f1=1.0, f2=1.0):
+    """Apply ``gates`` to ``r``, leaving each qubit's one-qubit maps in ``pending``.
+
+    ``r``'s first axis holds k^n entries: k = 2 walks a statevector (any
+    trailing axes ride along), k = 4 the interleaved rho. ``pending`` maps
+    qubit -> (product of its gate maps since its last flush, None before
+    the first; product of f1 per one-qubit gate and f2 per CX) and is
+    updated in place; its insertion order is the order :func:`_flush`
+    takes. ``r`` itself is never written to.
     """
     cx_gather = _cx_permutation if k == 2 else _cx_layout_permutation
-    # qubit -> (product of gate maps, None before the first; product of f)
-    pending: dict[int, tuple[np.ndarray | None, float]] = {}
-
-    def flush(r: np.ndarray, q: int) -> np.ndarray:
-        m, f = pending.pop(q)
-        if f != 1.0:
-            d = _depolarizing_superop(f)
-            m = d if m is None else d @ m
-        return r if m is None else _on_axis(m, r, q, n, k)
-
     for gate in gates:
         if gate.name == "cx":
             for q in gate.qubits:
                 if q in pending:
-                    r = flush(r, q)
+                    r = _apply_pending(r, q, *pending.pop(q), n, k)
             r = r[cx_gather(n, *gate.qubits)]
             for q in gate.qubits:
                 pending[q] = (None, f2)
@@ -147,9 +156,20 @@ def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
             if k == 4:
                 u = _superop(u)
             pending[q] = (u if m is None else u @ m, f * f1)
-    for q in list(pending):
-        r = flush(r, q)
     return r
+
+
+def _flush(r: np.ndarray, pending: dict, n: int, k: int) -> np.ndarray:
+    """Apply every pending map to ``r``, in ``pending``'s insertion order."""
+    for q, (m, f) in pending.items():
+        r = _apply_pending(r, q, m, f, n, k)
+    return r
+
+
+def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
+    """Apply ``gates`` to ``r`` and flush: :func:`_advance`, then :func:`_flush`."""
+    pending: dict = {}
+    return _flush(_advance(r, pending, gates, n, k, f1, f2), pending, n, k)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
@@ -170,11 +190,17 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return _walk(state, circuit.gates, circuit.n_qubits, 2)
 
 
+def _zero(n: int, k: int) -> np.ndarray:
+    """|0...0> (k = 2) or its rho (k = 4) as float64 walk input."""
+    r = np.zeros(k**n)
+    r[0] = 1.0
+    return r
+
+
 def _walk_from_zero(circuit: Circuit, k: int, f1=1.0, f2=1.0) -> np.ndarray:
     """The walk from |0...0> (or its rho), float64 unless an rz ran."""
-    r = np.zeros(k**circuit.n_qubits)
-    r[0] = 1.0
-    return _walk(r, circuit.gates, circuit.n_qubits, k, f1, f2)
+    n = circuit.n_qubits
+    return _walk(_zero(n, k), circuit.gates, n, k, f1, f2)
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -268,9 +294,10 @@ class NoiseModel:
         for key, value in (("gate_errors", gate), ("readout_errors", readout)):
             if not isinstance(value, dict):
                 check(value, bool, key)
+        # an object turns its channel on, even {}: its absent rates take defaults
         kwargs: dict = {
-            "gate_enabled": bool(gate),
-            "readout_enabled": bool(readout),
+            "gate_enabled": gate is not False,
+            "readout_enabled": readout is not False,
         }
         if isinstance(gate, dict):
             reject_unknown(gate, ("p1", "p2"), "gate_errors")
@@ -281,9 +308,16 @@ class NoiseModel:
             if "per_qubit" in readout and len(readout) > 1:
                 raise ValueError("readout_errors: per_qubit excludes p01 and p10")
             if "per_qubit" in readout:
+                pairs = check(readout["per_qubit"], list, "per_qubit")
+                if not pairs or any(
+                    not isinstance(p, list) or len(p) != 2 for p in pairs
+                ):
+                    raise ValueError(
+                        f"per_qubit must be a non-empty list of [p01, p10] pairs, "
+                        f"got {pairs!r}"
+                    )
                 kwargs["readout"] = tuple(
-                    (check(a, float, "p01"), check(b, float, "p10"))
-                    for a, b in readout["per_qubit"]
+                    (check(a, float, "p01"), check(b, float, "p10")) for a, b in pairs
                 )
             else:
                 kwargs["readout"] = (
@@ -407,10 +441,10 @@ def sample_counts(
     return _sample(probs, shots, seed, noise, n)
 
 
-def _evolve_rho(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Final rho of the circuit, flat in the interleaved layout."""
+def _depolarizing_factors(noise: NoiseModel) -> tuple[float, float]:
+    """(f1, f2) = 1 - 4p/3 for p = p1 and p2, or (1, 1) with gate errors off."""
     p1, p2 = (noise.p1, noise.p2) if noise.gate_enabled else (0.0, 0.0)
-    return _walk_from_zero(circuit, 4, 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0)
+    return 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0
 
 
 def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -421,12 +455,66 @@ def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     with p = p1 after one-qubit gates and p = p2 after a CX. The result is
     the ordinary 2^n x 2^n matrix, gathered from the interleaved layout.
     """
-    rho = _evolve_rho(circuit, noise)[_interleaved_index(circuit.n_qubits)]
-    return rho.astype(complex, copy=False)
+    rho = _walk_from_zero(circuit, 4, *_depolarizing_factors(noise))
+    return rho[_interleaved_index(circuit.n_qubits)].astype(complex, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class WalkCheckpoint:
+    """A walk of ``gates`` from |0...0> stopped before its final flush.
+
+    ``k`` is the axis width (2 for the statevector, 4 for rho under active
+    gate noise) and f1, f2 the depolarizing factors of that walk. ``r`` is
+    the unflushed array, read-only, and ``pending`` the (qubit, (map, f))
+    items still to flush, in insertion order. A resume copies ``pending``
+    and leaves the checkpoint as it was, so one serves any number of tails.
+    """
+
+    gates: tuple[Gate, ...]
+    n_qubits: int
+    k: int
+    f1: float
+    f2: float
+    r: np.ndarray
+    pending: tuple
+
+
+def _walk_setting(noise: NoiseModel) -> tuple[int, float, float]:
+    """(k, f1, f2): rho when gate noise is active, else the statevector."""
+    return (4, *_depolarizing_factors(noise)) if noise.gate_active else (2, 1.0, 1.0)
+
+
+def walk_prefix(circuit: Circuit, noise: NoiseModel) -> WalkCheckpoint:
+    """Walk ``circuit`` from |0...0> as :func:`run_noisy` would, minus the flush."""
+    n, (k, f1, f2) = circuit.n_qubits, _walk_setting(noise)
+    pending: dict = {}
+    r = _advance(_zero(n, k), pending, circuit.gates, n, k, f1, f2)
+    r.setflags(write=False)
+    return WalkCheckpoint(circuit.gates, n, k, f1, f2, r, tuple(pending.items()))
+
+
+def _resume(cp: WalkCheckpoint, circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The flushed walk of ``circuit``, its first gates taken from checkpoint ``cp``."""
+    start = len(cp.gates)
+    if circuit.n_qubits != cp.n_qubits:
+        raise ValueError(
+            f"checkpoint of {cp.n_qubits} qubits for a {circuit.n_qubits}-qubit circuit"
+        )
+    if (cp.k, cp.f1, cp.f2) != _walk_setting(noise):
+        raise ValueError("checkpoint was walked under other gate-noise rates")
+    if circuit.gates[:start] != cp.gates:
+        raise ValueError("checkpoint gates are not a prefix of the circuit")
+    pending = dict(cp.pending)
+    r = _advance(cp.r, pending, circuit.gates[start:], cp.n_qubits, cp.k, cp.f1, cp.f2)
+    return _flush(r, pending, cp.n_qubits, cp.k)
 
 
 def run_noisy(
-    circuit: Circuit, shots: int, seed, noise: NoiseModel
+    circuit: Circuit,
+    shots: int,
+    seed,
+    noise: NoiseModel,
+    prefix: WalkCheckpoint | None = None,
 ) -> CountsVector:
     """Shot-sampled circuit execution under the given noise model.
 
@@ -438,15 +526,25 @@ def run_noisy(
     enabled, then one multinomial over outcomes. So with gate noise inert
     this returns the counts of ``sample_counts(statevector(circuit), ...)``
     for the same seed.
+
+    ``prefix``, from :func:`walk_prefix`, resumes a walk of the circuit's
+    first gates: only the rest are walked, into a copy of its pending maps,
+    and the flush then runs in the order a full walk would take. So the
+    counts are bit-identical to a call without it. A ``prefix`` whose gates
+    do not begin the circuit, or that was walked for another qubit count or
+    other gate-noise rates, raises ValueError; readout noise may differ.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if noise.gate_active:
+    if prefix is None:
+        prefix = walk_prefix(circuit, noise)
+    r = _resume(prefix, circuit, noise)
+    if prefix.k == 4:
         diagonal = _interleaved_index(circuit.n_qubits).diagonal()
         # rounding can leave diagonal entries a hair below zero
-        probs = np.maximum(_evolve_rho(circuit, noise)[diagonal].real, 0.0)
+        probs = np.maximum(r[diagonal].real, 0.0)
     else:
-        probs = np.abs(_walk_from_zero(circuit, 2)) ** 2
+        probs = np.abs(r) ** 2
     return _sample(probs, shots, seed, noise, circuit.n_qubits)
 
 

@@ -40,6 +40,7 @@ from .sim import (
     post_rotations,
     run_noisy,
     statevector,
+    walk_prefix,
 )
 from .similarity import BAND_ERRONEOUS, classify_energy
 
@@ -280,11 +281,18 @@ class EnergyEvaluator:
         return parameter_count(self.ansatz)
 
     def evaluate(self, params, seed) -> EnergyEstimate:
-        """Sampled energy estimate; deterministic in (params, seed)."""
+        """Sampled energy estimate; deterministic in (params, seed).
+
+        The ansatz is walked once; each group resumes that walk with its
+        own post-rotations, drawing the counts a full walk of
+        ``circuit.concat(rotation)`` would.
+        """
         circuit = build_circuit(self.ansatz, params)
+        checkpoint = walk_prefix(circuit, self.noise)
         counts = tuple(
             run_noisy(
-                circuit.concat(rotation), self.shots, _child_seed(seed, g), self.noise
+                circuit.concat(rotation), self.shots, _child_seed(seed, g),
+                self.noise, prefix=checkpoint,
             )
             for g, rotation in enumerate(self._post_rotations)
         )

@@ -179,6 +179,9 @@ class TestRun:
         ({"noise": {"readout_errors": {"per_qubit": [[0.1, 0.0]] * 4,
                                        "p01": 0.1}}}, "per_qubit"),
         ({"seed": -1}, "seed"),
+        ({"noise": {"readout_errors": {"per_qubit": 3}}}, "per_qubit"),
+        ({"noise": {"readout_errors": {"per_qubit": [[0.1]]}}}, "per_qubit"),
+        ({"noise": {"readout_errors": {"per_qubit": [0.1, 0.2]}}}, "per_qubit"),
     ])
     def test_wrong_type_exit_2(self, tmp_path, capsys, overrides, named):
         doc = small_vqe_config(**overrides)
@@ -588,3 +591,15 @@ def test_derive_run_seed_distinct():
     assert len(seeds) == 100
     assert derive_run_seed(0, 5) != derive_run_seed(5, 0)
     assert derive_run_seed(3, 2) == derive_run_seed(3, 2)
+
+
+@pytest.mark.parametrize("command", [
+    ["eigen", "--ham", "2q"],
+    ["energy-from-counts", "--fixtures", "setA"],
+    ["similarity", "--fixtures", "A0", "B0"],
+])
+def test_seed_rejected_outside_run_and_batch(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -11,6 +11,9 @@ from h2vqe.pauli import MeasurementGroup, group_terms, h2_2qubit, h2_4qubit
 from h2vqe.sim import (
     CountsVector,
     _cx_permutation,
+    _resume,
+    _walk_from_zero,
+    _walk_setting,
     NoiseModel,
     apply_circuit,
     apply_gate,
@@ -23,6 +26,7 @@ from h2vqe.sim import (
     run_noisy,
     sample_counts,
     statevector,
+    walk_prefix,
     zero_state,
 )
 
@@ -424,9 +428,14 @@ def random_circuits(n, rng):
                 spec = AnsatzSpec(form, ent, reps=2, n_qubits=n)
                 params = rng.uniform(-np.pi, np.pi, parameter_count(spec))
                 bodies.append(build_circuit(spec, params))
-    basis = tuple(str(b) for b in rng.choice(["X", "Z"], size=n))
-    rotation = post_rotations(MeasurementGroup(0, basis, ()))
+    rotation = random_rotation(n, rng)
     return [body.concat(rotation) for body in bodies]
+
+
+def random_rotation(n, rng):
+    """Post-rotation of a random X/Z measurement basis on n qubits."""
+    basis = tuple(str(b) for b in rng.choice(["X", "Z"], size=n))
+    return post_rotations(MeasurementGroup(0, basis, ()))
 
 
 def dense_apply(circuit, state):
@@ -449,6 +458,15 @@ PINNED_ARMS = {
     "gate+readout": ([2021, 2], NoiseModel(
         gate_enabled=True, readout_enabled=True, p1=0.01, p2=0.03
     )),
+}
+# noise arms of the checkpoint tests: each walk kind, with and without readout
+CHECKPOINT_ARMS = {
+    "ideal": NoiseModel(),
+    "readout": NoiseModel(readout_enabled=True, readout=(0.03, 0.01)),
+    "gate": NoiseModel(gate_enabled=True, p1=0.01, p2=0.03),
+    "gate+readout": NoiseModel(
+        gate_enabled=True, readout_enabled=True, p1=0.01, p2=0.03
+    ),
 }
 PINNED_COUNTS = {
     ("ry", "linear", "ideal"): (
@@ -516,6 +534,65 @@ class TestWalker:
         seed, noise = PINNED_ARMS[arm]
         cv = run_noisy(circ, 4096, seed, noise)
         assert cv.counts == PINNED_COUNTS[form, ent, arm]
+
+    @pytest.mark.parametrize("arm", list(CHECKPOINT_ARMS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_resumed_walk_matches_fresh(self, n, arm):
+        noise = CHECKPOINT_ARMS[arm]
+        rng = np.random.default_rng(400 + n)
+        for form in ("ry", "ryrz"):
+            for ent in ("linear", "circular", "full"):
+                spec = AnsatzSpec(form, ent, 2, n)
+                body = build_circuit(spec, rng.uniform(-4, 4, parameter_count(spec)))
+                checkpoint = walk_prefix(body, noise)
+                for g in range(3):  # one checkpoint, several groups
+                    circ = body.concat(random_rotation(n, rng))
+                    fresh = _walk_from_zero(circ, *_walk_setting(noise))
+                    assert np.array_equal(_resume(checkpoint, circ, noise), fresh)
+                    seed = [n, g]
+                    resumed = run_noisy(circ, 1024, seed, noise, prefix=checkpoint)
+                    assert resumed == run_noisy(circ, 1024, seed, noise)
+
+    def test_checkpoint_mismatch_raises(self):
+        spec = AnsatzSpec("ry", "circular", 2, 3)
+        params = np.linspace(-1.0, 1.2, parameter_count(spec))
+        body = build_circuit(spec, params)
+        circ = body.concat(post_rotations(MeasurementGroup(0, ("X", "Z", "X"), ())))
+        ideal, gate = NoiseModel(), CHECKPOINT_ARMS["gate"]
+        wrong = [
+            (walk_prefix(build_circuit(spec, params + 0.1), ideal), circ, ideal),
+            (walk_prefix(circ, ideal), body, ideal),  # checkpoint past the end
+            (walk_prefix(build_circuit(AnsatzSpec(n_qubits=4), np.zeros(12)), ideal),
+             circ, ideal),
+            (walk_prefix(body, ideal), circ, gate),
+            (walk_prefix(body, gate), circ, ideal),
+            (walk_prefix(body, gate), circ, NoiseModel(gate_enabled=True, p1=0.02)),
+        ]
+        for checkpoint, circuit, noise in wrong:
+            with pytest.raises(ValueError):
+                run_noisy(circuit, 64, 0, noise, prefix=checkpoint)
+        # readout noise is applied after the walk, so it may differ
+        readout = NoiseModel(readout_enabled=True)
+        run_noisy(circ, 64, 0, readout, prefix=walk_prefix(body, ideal))
+
+    def test_checkpoint_read_only_and_unchanged(self):
+        noise = CHECKPOINT_ARMS["gate+readout"]
+        spec = AnsatzSpec("ryrz", "circular", 2, 3)
+        body = build_circuit(spec, np.linspace(-1.3, 1.1, parameter_count(spec)))
+        checkpoint = walk_prefix(body, noise)
+        r = checkpoint.r.copy()
+        pending = [(q, None if m is None else m.copy(), f)
+                   for q, (m, f) in checkpoint.pending]
+        with pytest.raises(ValueError):
+            checkpoint.r[0] = 1.0
+        for basis in (("X", "X", "X"), ("Z", "Z", "Z"), ("X", "Z", "X")):
+            rotation = post_rotations(MeasurementGroup(0, basis, ()))
+            run_noisy(body.concat(rotation), 64, 0, noise, prefix=checkpoint)
+        assert np.array_equal(checkpoint.r, r)
+        assert len(checkpoint.pending) == len(pending)
+        for (q, (m, f)), (q0, m0, f0) in zip(checkpoint.pending, pending):
+            assert q == q0 and f == f0
+            assert m is m0 is None or np.array_equal(m, m0)
 
 
 class TestCountsVector:
@@ -609,3 +686,11 @@ class TestNoiseModel:
     def test_describe(self):
         assert NoiseModel.ideal().describe() == "ideal"
         assert "gate" in NoiseModel(gate_enabled=True).describe()
+
+    def test_empty_object_enables_channel_with_defaults(self):
+        empty = NoiseModel.from_dict({"gate_errors": {}, "readout_errors": {}})
+        bare = NoiseModel.from_dict({"gate_errors": True, "readout_errors": True})
+        assert empty == bare
+        assert empty.describe() == bare.describe() != "ideal"
+        off = NoiseModel.from_dict({"gate_errors": False, "readout_errors": False})
+        assert off == NoiseModel.from_dict({}) == NoiseModel.ideal()

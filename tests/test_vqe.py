@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import h2vqe.vqe as vqe_mod
 from h2vqe import fixtures
-from h2vqe.ansatz import AnsatzSpec
+from h2vqe.ansatz import AnsatzSpec, Circuit
 from h2vqe.optim import OptimizerConfig
 from h2vqe.pauli import (
     DENSE_QUBIT_CAP,
@@ -460,3 +460,44 @@ class TestVqeConfig:
 
 def test_chemical_accuracy_constant():
     assert vqe_mod.CHEMICAL_ACCURACY == 0.0016
+
+
+class TestTracedSeams:
+    """The calls of one evaluation that the benchmark's trace wraps by name.
+
+    ``perfbench/child.py::install_spans`` replaces ``vqe.build_circuit``,
+    ``ansatz.Circuit.concat`` and ``vqe.run_noisy`` with timed wrappers, and
+    ``perfbench/run.py`` takes medians over their spans and reads the
+    circuit and shot count from ``run_noisy``'s positional arguments. A
+    traced benchmark run fails if ``evaluate`` stops making one of these
+    calls. Delete this test once the benchmark revision (ROADMAP, item 1)
+    traces seams of its own in place of these names.
+    """
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(gate_enabled=True, readout_enabled=True),
+    ], ids=["ideal", "gate+readout"])
+    @pytest.mark.parametrize("ham, n", [("4q", 4), ("2q", 2)])
+    def test_evaluate_makes_traced_calls(self, monkeypatch, ham, n, noise):
+        calls = {"build_circuit": [], "concat": [], "run_noisy": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((vqe_mod, "build_circuit"), (Circuit, "concat"),
+                            (vqe_mod, "run_noisy")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        cfg = VqeConfig(hamiltonian=ham, ansatz=AnsatzSpec(n_qubits=n), shots=64,
+                        noise=noise)
+        evaluator = EnergyEvaluator.from_config(cfg)
+        evaluator.evaluate(np.linspace(-1, 1, evaluator.parameter_count()), [0])
+        groups = len(evaluator.groups)
+        assert len(calls["build_circuit"]) == 1
+        assert len(calls["concat"]) == len(calls["run_noisy"]) == groups
+        for circuit, shots, *_ in calls["run_noisy"]:
+            assert isinstance(circuit, Circuit) and circuit.n_qubits == n
+            assert shots == 64
