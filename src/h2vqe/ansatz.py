@@ -10,7 +10,7 @@ couples every ordered pair i < j. Control is always the lower qubit index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fields
 
@@ -65,23 +65,12 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    form: str = field(default="ry", metadata=fields.CASELESS)
-    entanglement: str = field(default="linear", metadata=fields.CASELESS)
-    reps: int = 2
-    n_qubits: int = 4
+    form: str = fields.choice("ry", FORMS, caseless=True)
+    entanglement: str = fields.choice("linear", ENTANGLEMENTS, caseless=True)
+    reps: int = fields.bounded(2, ge=1)
+    n_qubits: int = fields.bounded(4, ge=2)  # an entangling layer needs two
 
-    def __post_init__(self) -> None:
-        if self.form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
-        if self.entanglement not in ENTANGLEMENTS:
-            raise ValueError(
-                f"entanglement must be one of {ENTANGLEMENTS}, "
-                f"got {self.entanglement!r}"
-            )
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.n_qubits < 2:
-            raise ValueError("need at least 2 qubits for an entangling layer")
+    __post_init__ = fields.validate
 
     def describe(self) -> str:
         return f"{self.form}/{self.entanglement}/reps{self.reps}/n{self.n_qubits}"

@@ -45,15 +45,11 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     vqe: VqeConfig = field(default_factory=VqeConfig)
-    n_runs: int = 50
-    base_seed: int = 0
+    n_runs: int = fields.bounded(50, ge=1)
+    base_seed: int = fields.bounded(0, ge=0)
     emit_svg: bool = False
 
-    def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+    __post_init__ = fields.validate
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -279,7 +275,11 @@ def _load_hamiltonian(selector: str) -> Hamiltonian:
 
 def cmd_eigen(args) -> int:
     h = _load_hamiltonian(args.ham)
-    values = eigenvalues(to_dense(h))
+    try:
+        dense = to_dense(h)
+    except ValueError as exc:  # over the dense-matrix cap
+        raise UsageError(str(exc)) from exc
+    values = eigenvalues(dense)
     for v in values:
         print(f"{v:.4f}")
     out = os.path.join(args.out_dir, "eigenvalues.json")
@@ -296,21 +296,20 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def _load_vqe_config(path: str, seed_override: int | None) -> VqeConfig:
+def _load_config(path: str, cls, **override):
+    """``cls`` read from the JSON file ``path``, then each non-None override."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     try:
-        cfg = VqeConfig.from_dict(doc)
-        if seed_override is not None:
-            cfg = replace(cfg, seed=seed_override)
+        override = {k: v for k, v in override.items() if v is not None}
+        return replace(cls.from_dict(doc), **override)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    return cfg
 
 
 def _check_hamiltonian(cfg: VqeConfig) -> Hamiltonian:
@@ -325,7 +324,7 @@ def _check_hamiltonian(cfg: VqeConfig) -> Hamiltonian:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_vqe_config(args.config, args.seed)
+    cfg = _load_config(args.config, VqeConfig, seed=args.seed)
     groups, _ = group_terms(_check_hamiltonian(cfg))
     result = run_vqe(cfg)
     trace_path = os.path.join(args.out_dir, "trace.csv")
@@ -351,16 +350,7 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        experiment = ExperimentConfig.from_dict(doc)
-        if args.seed is not None:
-            experiment = replace(experiment, base_seed=args.seed)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"invalid experiment config: {exc}") from exc
+    experiment = _load_config(args.config, ExperimentConfig, base_seed=args.seed)
     groups, _ = group_terms(_check_hamiltonian(experiment.vqe))
     results = execute_batch(experiment, workers=args.workers)
     records = [r for r, _ in results]

@@ -8,14 +8,20 @@ rather than partway through a run.
 Config blocks are frozen dataclasses, and their fields are the schema:
 :func:`parse` accepts exactly the field names as keys, checks each value
 against the type of its field's default, hands a value whose default has
-a ``from_dict`` to that method, and rejects every other key. A field
-marked with :data:`CASELESS` metadata is lowercased on the way in.
-:func:`to_dict` is the inverse.
+a ``from_dict`` to that method, and rejects every other key. :func:`to_dict`
+is the inverse.
+
+A field built by :func:`bounded` or :func:`choice` also declares its valid
+values in its metadata, and :func:`validate`, which each config's
+``__post_init__`` calls, applies them and rejects a non-finite float. A
+caseless choice is lowercased by :func:`parse` on the way in.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 
 _KIND_NAMES = {
     int: "an integer",
@@ -26,7 +32,39 @@ _KIND_NAMES = {
     list: "a list",
 }
 
-CASELESS = {"caseless": True}
+# metadata key: the test a value must pass against its bound, and its words
+_LIMITS = {
+    "gt": (operator.gt, "> {}"),
+    "ge": (operator.ge, ">= {}"),
+    "lt": (operator.lt, "< {}"),
+    "le": (operator.le, "<= {}"),
+    "choices": (lambda value, choices: value in choices, "one of {}"),
+}
+_AGAINST_ZERO = {"gt": "positive", "ge": "non-negative"}
+
+
+def bounded(default, **limits) -> dataclasses.Field:
+    """A field whose value must pass each of ``limits``: gt, ge, lt, le, choices."""
+    return dataclasses.field(default=default, metadata=limits)
+
+
+def choice(default: str, choices: tuple, caseless: bool = False) -> dataclasses.Field:
+    """A string field whose value must be one of ``choices``."""
+    return bounded(default, choices=choices, caseless=caseless)
+
+
+def validate(obj) -> None:
+    """ValueError naming the first field of ``obj`` outside its declared values."""
+    for f in dataclasses.fields(obj):
+        name, value = f.name, getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        for key, (test, words) in _LIMITS.items():
+            bound = f.metadata.get(key)
+            if bound is not None and not test(value, bound):
+                if bound == 0 and key in _AGAINST_ZERO:
+                    words = _AGAINST_ZERO[key]
+                raise ValueError(f"{name} must be {words.format(bound)}, got {value!r}")
 
 
 def check(value, kind: type, name: str):

@@ -96,37 +96,31 @@ class _TracedObjective:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = field(default="spsa", metadata=fields.CASELESS)
-    max_iterations: int = 150
-    tolerance: float = 1e-4
-    # SPSA gains: a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma
+    method: str = fields.choice("spsa", METHODS, caseless=True)
+    max_iterations: int = fields.bounded(150, ge=1)
+    tolerance: float = fields.bounded(1e-4, gt=0.0)
+    # SPSA gains a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma, neither growing in k
     spsa_a: float = 2.0
-    spsa_c: float = 0.1
-    spsa_stability: float = 10.0
-    spsa_alpha: float = 0.602
-    spsa_gamma: float = 0.101
+    spsa_c: float = fields.bounded(0.1, gt=0.0)
+    spsa_stability: float = fields.bounded(10.0, ge=0.0)
+    spsa_alpha: float = fields.bounded(0.602, ge=0.0)
+    spsa_gamma: float = fields.bounded(0.101, ge=0.0)
     spsa_calibrate: bool = False
-    spsa_calibration_pairs: int = 25
-    spsa_target_step: float = 0.5
+    spsa_calibration_pairs: int = fields.bounded(25, ge=0)
+    spsa_target_step: float = fields.bounded(0.5, gt=0.0)
     # COBYLA
-    rhobeg: float = 1.0
-    # Nelder-Mead
-    nm_reflection: float = 1.0
-    nm_expansion: float = 2.0
-    nm_contraction: float = 0.5
-    nm_shrink: float = 0.5
-    nm_step: float = 0.5
+    rhobeg: float = fields.bounded(1.0, gt=0.0)
+    # Nelder-Mead: expand past the reflection, contract and shrink within it
+    nm_reflection: float = fields.bounded(1.0, gt=0.0)
+    nm_expansion: float = fields.bounded(2.0, gt=1.0)
+    nm_contraction: float = fields.bounded(0.5, gt=0.0, lt=1.0)
+    nm_shrink: float = fields.bounded(0.5, ge=0.0, le=1.0)
+    nm_step: float = fields.bounded(0.5, gt=0.0)
     # Powell
-    powell_line_tolerance: float = 1e-6
-    powell_step: float = 1.0
+    powell_line_tolerance: float = fields.bounded(1e-6, gt=0.0)
+    powell_step: float = fields.bounded(1.0, gt=0.0)
 
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+    __post_init__ = fields.validate
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OptimizerConfig":
@@ -139,8 +133,9 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     """Simultaneous-perturbation descent: two evaluations per iteration.
 
     The gradient estimate at step k is (f(x+c_k D) - f(x-c_k D)) / (2 c_k)
-    times the Rademacher vector D. With calibration enabled, 25 paired
-    probes at x0 rescale the gain ``a`` so the first step has magnitude
+    times the Rademacher vector D. With calibration enabled,
+    ``spsa_calibration_pairs`` paired probes at x0 (zero pairs skip it)
+    rescale the gain ``a`` so the first step has magnitude
     ``spsa_target_step`` per component.
     """
     rng = np.random.default_rng(seed)
@@ -151,7 +146,7 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
         raise ValueError("x0 must be a non-empty 1-D vector")
     a = cfg.spsa_a
     big_a = cfg.spsa_stability
-    if cfg.spsa_calibrate:
+    if cfg.spsa_calibrate and cfg.spsa_calibration_pairs > 0:
         magnitudes = []
         for _ in range(cfg.spsa_calibration_pairs):
             delta = rng.integers(0, 2, size=x.size) * 2.0 - 1.0
@@ -348,7 +343,7 @@ def _golden_section(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:  # until [a, b] has no two inner floats
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import Circuit, Gate
-from .fields import check, read, reject_unknown
+from .fields import bounded, check, read, reject_unknown, validate
 from .pauli import MeasurementGroup
 
 DEFAULT_P1 = 0.001
@@ -236,14 +236,12 @@ class NoiseModel:
 
     gate_enabled: bool = False
     readout_enabled: bool = False
-    p1: float = DEFAULT_P1
-    p2: float = DEFAULT_P2
+    p1: float = bounded(DEFAULT_P1, ge=0.0, le=1.0)
+    p2: float = bounded(DEFAULT_P2, ge=0.0, le=1.0)
     readout: tuple = DEFAULT_READOUT
 
     def __post_init__(self) -> None:
-        for p in (self.p1, self.p2):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"gate-error probability {p} outside [0, 1]")
+        validate(self)
         for p01, p10 in self._readout_pairs():
             if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
                 raise ValueError(f"readout probability ({p01}, {p10}) outside [0, 1]")

@@ -206,21 +206,13 @@ class VqeConfig:
     hamiltonian: str = "4q"
     ansatz: AnsatzSpec = field(default_factory=AnsatzSpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    shots: int = DEFAULT_SHOTS
+    shots: int = fields.bounded(DEFAULT_SHOTS, ge=1, le=MAX_SHOTS)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    seed: int = 0
-    initial_params: str = "uniform"
+    seed: int = fields.bounded(0, ge=0)
+    initial_params: str = fields.choice("uniform", ("uniform", "zeros"))
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
-        if self.initial_params not in ("uniform", "zeros"):
-            raise ValueError(
-                f"initial_params must be 'uniform' or 'zeros', "
-                f"got {self.initial_params!r}"
-            )
+        fields.validate(self)
         if self.noise.gate_active and self.ansatz.n_qubits > DENSE_QUBIT_CAP:
             # the gate-noise density matrix holds 4^n complex entries
             raise ValueError(

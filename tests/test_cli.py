@@ -95,6 +95,15 @@ class TestEigen:
         assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_over_dense_cap_exit_2(self, tmp_path, capsys):
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(
+            Hamiltonian(9, (PauliTerm(0.5, PauliString.from_label("Z" * 9)),)), ham
+        )
+        assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 2
+        assert "dense-matrix cap of 8" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "eigenvalues.json")
+
 
 class TestRun:
     def test_artifacts_and_defaults(self, tmp_path, capsys):
@@ -182,6 +191,13 @@ class TestRun:
         ({"noise": {"readout_errors": {"per_qubit": 3}}}, "per_qubit"),
         ({"noise": {"readout_errors": {"per_qubit": [[0.1]]}}}, "per_qubit"),
         ({"noise": {"readout_errors": {"per_qubit": [0.1, 0.2]}}}, "per_qubit"),
+        ({"optimizer": {"spsa_c": 0}}, "spsa_c"),
+        ({"optimizer": {"rhobeg": -1}}, "rhobeg"),
+        ({"optimizer": {"nm_shrink": 5}}, "nm_shrink"),
+        ({"optimizer": {"powell_step": 0}}, "powell_step"),
+        ({"optimizer": {"spsa_a": math.inf}}, "spsa_a"),
+        ({"optimizer": {"tolerance": math.nan}}, "tolerance"),
+        ({"optimizer": {"powell_line_tolerance": 0}}, "powell_line_tolerance"),
     ])
     def test_wrong_type_exit_2(self, tmp_path, capsys, overrides, named):
         doc = small_vqe_config(**overrides)
@@ -389,6 +405,13 @@ class TestBatch:
     def test_bad_config_exit_2(self, tmp_path):
         path = write_json(tmp_path / "b.json", {"n_runs": 0})
         assert main(["batch", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_invalid_json_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n_runs": ')
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("base_seed, flags", [(-1, []), (7, ["--seed", "-1"])])
     def test_negative_base_seed_exit_2(self, tmp_path, capsys, base_seed, flags):

@@ -1,6 +1,8 @@
 """Optimizer contracts on analytic objectives with known minima."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ class TestSpsa:
         assert counter.calls == 2 * 25 + 2 * 10
         assert len(trace) == counter.calls
         assert any("calibrated" in note for note in trace.notes)
+
+    def test_zero_calibration_pairs_skip_calibration(self):
+        plain = OptimizerConfig(method="spsa", max_iterations=10)
+        zero = replace(plain, spsa_calibrate=True, spsa_calibration_pairs=0)
+        _, _, expected = spsa_minimize(sphere, np.ones(3), plain, seed=9)
+        _, _, trace = spsa_minimize(sphere, np.ones(3), zero, seed=9)
+        assert np.array_equal(trace.values, expected.values)
+        assert all(
+            np.array_equal(x, y)
+            for (_, x, _), (_, y, _) in zip(trace.entries, expected.entries)
+        )
+        assert len(trace) == len(expected) and not trace.notes
 
     def test_determinism(self):
         cfg = OptimizerConfig(method="spsa", max_iterations=50)
@@ -323,6 +337,25 @@ class TestPowell:
         # 1 initial eval + one failed bracket scan per direction, no cycle 2
         assert counter.calls <= 1 + 3 * 6
         assert any("bracket" in note for note in trace.notes)
+
+    def test_unreachable_line_tolerance_returns(self):
+        # no float bracket is 1e-20 wide around the minima at 2 and -1, so the
+        # line searches end when the bracket stops shrinking
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            if len(calls) > 20_000:
+                raise RuntimeError("line search did not stop")
+            return (x[0] - 2) ** 2 + 3 * (x[1] + 1) ** 2
+
+        cfg = OptimizerConfig(
+            method="powell", max_iterations=3, powell_line_tolerance=1e-20
+        )
+        start = time.perf_counter()
+        x_best, f_best, _ = powell_minimize(f, np.zeros(2), cfg)
+        assert time.perf_counter() - start < 5.0
+        assert np.allclose(x_best, [2.0, -1.0], atol=1e-6) and f_best < 1e-12
 
 
 class TestCrossMethod:
