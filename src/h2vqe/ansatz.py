@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fields
 
@@ -97,28 +98,30 @@ def parameter_count(spec: AnsatzSpec) -> int:
     return per_layer * (spec.reps + 1)
 
 
+@lru_cache(maxsize=64)
+def _layout(spec: AnsatzSpec) -> tuple:
+    """The gate order of ``spec``: each CX as its Gate, built once, and each
+    rotation as (name, qubits, index of its parameter)."""
+    n, names = spec.n_qubits, ("ry", "rz") if spec.form == "ryrz" else ("ry",)
+    entangler = [Gate("cx", pair) for pair in entangler_pairs(spec)]
+    ops, k = [], 0
+    for layer in range(spec.reps + 1):
+        if layer:
+            ops += entangler
+        for name in names:
+            ops += [(name, (q,), k + q) for q in range(n)]
+            k += n
+    return tuple(ops)
+
+
 def build_circuit(spec: AnsatzSpec, params) -> Circuit:
     """Assemble the ansatz circuit for one parameter vector (radians)."""
     params = [float(p) for p in params]
     expected = parameter_count(spec)
     if len(params) != expected:
         raise ValueError(f"expected {expected} parameters, got {len(params)}")
-    gates: list[Gate] = []
-    k = 0
-
-    def rotation_layer() -> None:
-        nonlocal k
-        for q in range(spec.n_qubits):
-            gates.append(Gate("ry", (q,), params[k]))
-            k += 1
-        if spec.form == "ryrz":
-            for q in range(spec.n_qubits):
-                gates.append(Gate("rz", (q,), params[k]))
-                k += 1
-
-    rotation_layer()
-    for _ in range(spec.reps):
-        for c, t in entangler_pairs(spec):
-            gates.append(Gate("cx", (c, t)))
-        rotation_layer()
-    return Circuit(spec.n_qubits, tuple(gates))
+    gates = tuple(
+        op if isinstance(op, Gate) else Gate(op[0], op[1], params[op[2]])
+        for op in _layout(spec)
+    )
+    return Circuit(spec.n_qubits, gates)

@@ -10,7 +10,10 @@ A_q = [[1 - p01[q], p10[q]], [p01[q], 1 - p10[q]]] on qubit q's axis.
 Every noise arm then draws all shots from p' (p itself without readout
 errors) in one multinomial. Shots are i.i.d., so this has the distribution
 of per-shot trajectories that insert a random Pauli after a faulty gate
-and flip each measured bit.
+and flip each measured bit. The A_q are built once per noise model and
+qubit count. The seed goes to ``np.random.default_rng``; an evaluation
+draws group g from the stream of ``default_rng([*seed, g])``, seeded from
+the uint32 words of :func:`seed_words` that numpy would derive from it.
 
 One gate walker (:func:`_walk`) runs every circuit. Its array has one axis
 of width k per qubit: k = 2 for a statevector, and k = 4 for the density
@@ -56,6 +59,12 @@ DEFAULT_READOUT = (0.02, 0.02)
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, as every cached array is."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=256)
 def _cx_permutation(n: int, control: int, target: int) -> np.ndarray:
     """Read-only permutation: flip the target bit where control is set."""
@@ -63,8 +72,7 @@ def _cx_permutation(n: int, control: int, target: int) -> np.ndarray:
     flip = (i >> control) & 1 == 1
     perm = i.copy()
     perm[flip] ^= 1 << target
-    perm.setflags(write=False)
-    return perm
+    return _frozen(perm)
 
 
 @lru_cache(maxsize=64)
@@ -75,9 +83,7 @@ def _depolarizing_superop(f: float) -> np.ndarray:
     and two such maps compose to the one with the product of their f.
     """
     a, b = (1.0 + f) / 2.0, (1.0 - f) / 2.0
-    d = np.array([[a, 0, 0, b], [0, f, 0, 0], [0, 0, f, 0], [b, 0, 0, a]])
-    d.setflags(write=False)
-    return d
+    return _frozen(np.array([[a, 0, 0, b], [0, f, 0, 0], [0, 0, f, 0], [b, 0, 0, a]]))
 
 
 def _superop(u: np.ndarray) -> np.ndarray:
@@ -90,9 +96,7 @@ def _interleaved_index(n: int) -> np.ndarray:
     """Read-only 2^n x 2^n array of the flat position of each rho[i, j]."""
     i = np.arange(2**n)
     spread = sum(((i >> q) & 1) << (2 * q) for q in range(n))  # bit q -> 2q
-    index = 2 * spread[:, None] + spread[None, :]
-    index.setflags(write=False)
-    return index
+    return _frozen(2 * spread[:, None] + spread[None, :])
 
 
 @lru_cache(maxsize=256)
@@ -102,19 +106,23 @@ def _cx_layout_permutation(n: int, control: int, target: int) -> np.ndarray:
     flip = _cx_permutation(n, control, target)
     perm = np.empty(4**n, dtype=np.intp)
     perm[index] = index[flip][:, flip]
-    perm.setflags(write=False)
-    return perm
+    return _frozen(perm)
 
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    """2x2 matrix of a one-qubit gate: real for ry and h, complex for rz."""
+_H_MAPS = {2: _frozen(_H_MATRIX), 4: _frozen(_superop(_H_MATRIX))}  # per axis width
+
+
+def _gate_map(gate: Gate, k: int) -> np.ndarray:
+    """k x k map of a one-qubit gate: U (real but for rz) at k = 2, U (x) U* at 4."""
+    if gate.name == "h":
+        return _H_MAPS[k]
     if gate.name == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        return np.array([[c, -s], [s, c]])
-    if gate.name == "rz":
+        u = np.array([[c, -s], [s, c]])
+    else:
         half = 0.5j * gate.angle
-        return np.array([[cmath.exp(-half), 0.0], [0.0, cmath.exp(half)]])
-    return _H_MATRIX
+        u = np.array([[cmath.exp(-half), 0.0], [0.0, cmath.exp(half)]])
+    return u if k == 2 else _superop(u)
 
 
 def _on_axis(m: np.ndarray, r: np.ndarray, q: int, n: int, k: int) -> np.ndarray:
@@ -152,9 +160,7 @@ def _advance(r: np.ndarray, pending: dict, gates, n: int, k: int, f1=1.0, f2=1.0
         else:
             (q,) = gate.qubits
             m, f = pending.get(q, (None, 1.0))
-            u = _gate_matrix(gate)
-            if k == 4:
-                u = _superop(u)
+            u = _gate_map(gate, k)
             pending[q] = (u if m is None else u @ m, f * f1)
     return r
 
@@ -367,8 +373,7 @@ def bit_reversal_permutation(n_qubits: int) -> np.ndarray:
     perm = np.zeros_like(i)
     for b in range(n_qubits):
         perm |= ((i >> b) & 1) << (n_qubits - 1 - b)
-    perm.setflags(write=False)
-    return perm
+    return _frozen(perm)
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,7 @@ class CountsVector:
         dim = len(self.counts)
         if dim < 2 or dim & (dim - 1):
             raise ValueError("counts length must be a power of two")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("negative count")
         if sum(self.counts) != self.shots:
             raise ValueError("counts do not sum to shots")
@@ -407,6 +412,27 @@ class CountsVector:
         return CountsVector(tuple(np.asarray(self.counts)[perm].tolist()), self.shots)
 
 
+def seed_words(seed) -> list[int]:
+    """The uint32 words that numpy's SeedSequence derives from an int or ints.
+
+    Each int splits into little-endian 32-bit words, 0 into one, and a
+    negative one raises ValueError. So a uint32 array of the words seeds
+    the stream of ``np.random.default_rng(seed)``."""
+    words = []
+    for s in (seed,) if isinstance(seed, (int, np.integer)) else seed:
+        if (s := int(s)) < 0:
+            raise ValueError(f"seed entry {s} is negative")
+        words += [(s >> b) & 0xFFFFFFFF for b in range(0, max(s.bit_length(), 1), 32)]
+    return words
+
+
+@lru_cache(maxsize=64)
+def _confusion_maps(noise: NoiseModel, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only A_q of qubits 0 .. n-1 under ``noise``'s readout errors."""
+    pairs = zip(*noise.readout_probs(n))
+    return tuple(_frozen(np.array([[1.0 - a, b], [a, 1.0 - b]])) for a, b in pairs)
+
+
 def _sample(
     probs: np.ndarray,
     shots: int,
@@ -415,9 +441,7 @@ def _sample(
     n: int,
 ) -> CountsVector:
     if noise is not None and noise.readout_enabled:
-        p01, p10 = noise.readout_probs(n)
-        for q in range(n):
-            a = np.array([[1.0 - p01[q], p10[q]], [p01[q], 1.0 - p10[q]]])
+        for q, a in enumerate(_confusion_maps(noise, n)):
             probs = _on_axis(a, probs, q, n, 2)
     counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     return CountsVector(tuple(counts.tolist()), shots)
@@ -486,8 +510,7 @@ def walk_prefix(circuit: Circuit, noise: NoiseModel) -> WalkCheckpoint:
     """Walk ``circuit`` from |0...0> as :func:`run_noisy` would, minus the flush."""
     n, (k, f1, f2) = circuit.n_qubits, _walk_setting(noise)
     pending: dict = {}
-    r = _advance(_zero(n, k), pending, circuit.gates, n, k, f1, f2)
-    r.setflags(write=False)
+    r = _frozen(_advance(_zero(n, k), pending, circuit.gates, n, k, f1, f2))
     return WalkCheckpoint(circuit.gates, n, k, f1, f2, r, tuple(pending.items()))
 
 
@@ -585,6 +608,8 @@ def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
     basis = check(doc["group_basis"], str, "group_basis").upper()
     if len(basis) != n:  # checked first, so 2**n below is no larger than the file
         raise ValueError("group_basis length does not match n_qubits")
+    if set(basis) - {"X", "Z"}:
+        raise ValueError(f"group_basis {basis!r} holds a letter other than X and Z")
     raw = [check(c, int, "counts entry") for c in check(doc["counts"], list, "counts")]
     if len(raw) != 2**n:
         raise ValueError(f"expected {2**n} counts, got {len(raw)}")

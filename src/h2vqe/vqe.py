@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .sim import (
     apply_circuit,
     post_rotations,
     run_noisy,
+    seed_words,
     statevector,
     walk_prefix,
 )
@@ -91,11 +93,21 @@ def pauli_expectation(
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """One energy estimate plus the evidence it was computed from."""
+    """One energy estimate plus the evidence it was computed from: each
+    group's counts, term labels and expectation vector (``values``)."""
 
     energy: float
     group_counts: tuple[CountsVector, ...]
-    expectations: tuple[tuple[str, float], ...]
+    labels: tuple[tuple[str, ...], ...] = field(repr=False)
+    values: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def expectations(self) -> tuple[tuple[str, float], ...]:
+        """(term label, <P>) of every term, group by group."""
+        return tuple(
+            pair for labels, v in zip(self.labels, self.values)
+            for pair in zip(labels, v.tolist())
+        )
 
 
 class _Estimator:
@@ -111,7 +123,7 @@ class _Estimator:
             np.array([_term_signs(t, n_qubits) for t in g.terms]) for g in groups
         ]
         self.coeffs = [np.array([t.coefficient for t in g.terms]) for g in groups]
-        self.labels = [tuple(t.string.to_label() for t in g.terms) for g in groups]
+        self.labels = tuple(tuple(t.string.to_label() for t in g.terms) for g in groups)
 
     def energy(self, probs_per_group) -> tuple[float, list[np.ndarray]]:
         """Energy and per-group expectations from Q0_RIGHTMOST probabilities."""
@@ -130,11 +142,7 @@ class _Estimator:
         energy, values = self.energy(
             cv.reordered(conv).probabilities() for cv in counts_per_group
         )
-        expectations = tuple(
-            pair for labels, v in zip(self.labels, values)
-            for pair in zip(labels, v.tolist())
-        )
-        return EnergyEstimate(energy, counts_per_group, expectations)
+        return EnergyEstimate(energy, counts_per_group, self.labels, tuple(values))
 
 
 def energy_from_counts(
@@ -277,14 +285,16 @@ class EnergyEvaluator:
 
         The ansatz is walked once; each group resumes that walk with its
         own post-rotations, drawing the counts a full walk of
-        ``circuit.concat(rotation)`` would.
+        ``circuit.concat(rotation)`` would. Group g draws the stream of
+        ``np.random.default_rng([*seed, g])``, seeded from ``seed``'s words.
         """
         circuit = build_circuit(self.ansatz, params)
         checkpoint = walk_prefix(circuit, self.noise)
+        words = seed_words(seed)
         counts = tuple(
             run_noisy(
-                circuit.concat(rotation), self.shots, _child_seed(seed, g),
-                self.noise, prefix=checkpoint,
+                circuit.concat(rotation), self.shots,
+                np.array(words + [g], dtype=np.uint32), self.noise, prefix=checkpoint,
             )
             for g, rotation in enumerate(self._post_rotations)
         )

@@ -135,3 +135,45 @@ def test_circuit_concat():
     assert len(joined.gates) == len(a.gates) + 1
     with pytest.raises(ValueError):
         a.concat(Circuit(3, ()))
+
+
+def reference_circuit(spec, params):
+    """The ansatz built gate by gate from the module docstring's description."""
+    n, gates, k = spec.n_qubits, [], 0
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if spec.entanglement == "circular":
+        pairs.append((n - 1, 0))
+    elif spec.entanglement == "full":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for layer in range(spec.reps + 1):
+        if layer:
+            gates += [Gate("cx", pair) for pair in pairs]
+        for name in ("ry", "rz") if spec.form == "ryrz" else ("ry",):
+            for q in range(n):
+                gates.append(Gate(name, (q,), float(params[k])))
+                k += 1
+    assert k == len(params)
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("form", ["ry", "ryrz"])
+@pytest.mark.parametrize("entanglement", ["linear", "circular", "full"])
+def test_build_circuit_matches_gate_by_gate_reference(form, entanglement):
+    rng = np.random.default_rng(71)
+    for reps in (1, 2, 3):
+        for n in (2, 3, 4, 5):
+            spec = AnsatzSpec(form, entanglement, reps, n)
+            for _ in range(2):  # the second build reuses the cached layout
+                params = rng.uniform(-4, 4, parameter_count(spec))
+                assert build_circuit(spec, params) == reference_circuit(spec, params)
+
+
+def test_cached_layout_still_checks_every_build():
+    spec = AnsatzSpec("ryrz", "circular", 2, 3)
+    params = np.linspace(-1, 1, parameter_count(spec))
+    build_circuit(spec, params)
+    params[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite rotation angle"):
+        build_circuit(spec, params)
+    with pytest.raises(ValueError, match="expected 18 parameters, got 17"):
+        build_circuit(spec, params[:-1])

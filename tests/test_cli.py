@@ -597,6 +597,7 @@ class TestSimilarityCommand:
     ({"n_qubits": "4"}, "n_qubits must be an integer"),
     ({"shots": "8192"}, "shots must be an integer"),
     ({"group_basis": ["X", "Z", "X", "Z"]}, "group_basis must be a string"),
+    ({"group_basis": "XZYZ"}, "group_basis"),
 ])
 @pytest.mark.parametrize("command", ["similarity", "energy-from-counts"])
 def test_malformed_counts_file_exit_2(tmp_path, capsys, command, overrides, named):

@@ -8,8 +8,10 @@ import pytest
 
 from h2vqe.ansatz import AnsatzSpec, Circuit, Gate, build_circuit, parameter_count
 from h2vqe.pauli import MeasurementGroup, group_terms, h2_2qubit, h2_4qubit
+from h2vqe.cli import derive_run_seed
 from h2vqe.sim import (
     CountsVector,
+    _confusion_maps,
     _cx_permutation,
     _resume,
     _walk_from_zero,
@@ -25,6 +27,7 @@ from h2vqe.sim import (
     probabilities,
     run_noisy,
     sample_counts,
+    seed_words,
     statevector,
     walk_prefix,
     zero_state,
@@ -694,3 +697,74 @@ class TestNoiseModel:
         assert empty.describe() == bare.describe() != "ideal"
         off = NoiseModel.from_dict({"gate_errors": False, "readout_errors": False})
         assert off == NoiseModel.from_dict({}) == NoiseModel.ideal()
+
+
+class TestSeedWords:
+    """A uint32 array of ``seed_words(s)`` draws the stream of default_rng(s)."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32, 2**64 + 5,
+        [0], [1], [2**32 - 1], [2**32], [2**64 - 1], [2**64 + 5],
+        [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5],
+        [np.uint64(2**64 - 2), 0, 3],
+        (7, np.int64(9)),
+        [derive_run_seed(4294967290, 3), 1, 149, 0],
+        [derive_run_seed(424242, 0), 1, 0, 1],
+    ])
+    def test_same_stream_as_default_rng(self, seed):
+        words = np.array(seed_words(seed), dtype=np.uint32)
+        ref = np.random.default_rng(seed).integers(0, 2**63, 64)
+        for rng in (np.random.Generator(np.random.PCG64(words)),
+                    np.random.default_rng(words)):
+            assert np.array_equal(rng.integers(0, 2**63, 64), ref)
+
+    def test_word_split(self):
+        assert seed_words([0, 2**32 - 1, 2**32, 2**64 + 5]) == [
+            0, 2**32 - 1, 0, 1, 5, 0, 1]
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1], [np.int64(-2)]])
+    def test_negative_entry_raises(self, seed):
+        with pytest.raises(ValueError):
+            seed_words(seed)
+
+    def test_run_noisy_takes_every_seed_kind(self):
+        circ = build_circuit(AnsatzSpec(n_qubits=2), np.linspace(0.2, 1.4, 6))
+        noise = NoiseModel(readout_enabled=True)
+        words = np.array(seed_words([5, 1, 2, 0]), dtype=np.uint32)
+        listed = run_noisy(circ, 512, [5, 1, 2, 0], noise)
+        assert run_noisy(circ, 512, words, noise) == listed
+        assert run_noisy(circ, 512, 5, noise) == run_noisy(circ, 512, 5, noise)
+        assert run_noisy(circ, 512, None, noise).shots == 512
+        a = run_noisy(circ, 512, np.random.default_rng(8), noise)
+        assert a == run_noisy(circ, 512, np.random.default_rng(8), noise)
+        assert a == run_noisy(circ, 512, np.random.SeedSequence(8), noise)
+        with pytest.raises(ValueError):
+            run_noisy(circ, 512, [5, -1], noise)
+
+
+class TestConfusionMaps:
+    def test_read_only_and_shared_by_equal_models(self):
+        flat = NoiseModel(readout_enabled=True, readout=(0.1, 0.3))
+        single = NoiseModel(readout_enabled=True, readout=((0.1, 0.3),))
+        assert flat == single
+        maps = _confusion_maps(flat, 3)
+        assert _confusion_maps(single, 3) is maps
+        for a in maps:
+            assert np.array_equal(a, [[0.9, 0.3], [0.1, 0.7]])
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_per_qubit_maps(self):
+        noise = NoiseModel(readout_enabled=True, readout=((0.1, 0.0), (0.05, 0.2)))
+        maps = _confusion_maps(noise, 2)
+        assert [a.tolist() for a in maps] == [
+            [[0.9, 0.0], [0.1, 1.0]], [[0.95, 0.2], [0.05, 0.8]]]
+        assert _confusion_maps(noise, 2) is maps
+
+
+@pytest.mark.parametrize("basis", ["XY", "zq", "X "])
+def test_counts_basis_other_than_x_and_z_rejected(basis):
+    doc = {"n_qubits": 2, "shots": 2, "group_basis": basis, "counts": [1, 1, 0, 0]}
+    with pytest.raises(ValueError, match="group_basis"):
+        counts_from_dict(doc)
+    assert counts_from_dict(dict(doc, group_basis="xz"))[1] == "XZ"

@@ -19,7 +19,8 @@ from h2vqe.pauli import (
     group_terms,
     h2_4qubit,
 )
-from h2vqe.sim import CountsVector, NoiseModel
+from h2vqe.ansatz import build_circuit
+from h2vqe.sim import CountsVector, NoiseModel, post_rotations, run_noisy
 from h2vqe.vqe import (
     BitOrder,
     EnergyEvaluator,
@@ -501,3 +502,71 @@ class TestTracedSeams:
         for circuit, shots, *_ in calls["run_noisy"]:
             assert isinstance(circuit, Circuit) and circuit.n_qubits == n
             assert shots == 64
+
+
+EVAL_ARMS = [
+    ("4q", 4, NoiseModel()),
+    ("2q", 2, NoiseModel()),
+    ("4q", 4, NoiseModel(gate_enabled=True, readout_enabled=True)),
+    ("2q", 2, NoiseModel(gate_enabled=True, readout_enabled=True)),
+]
+EVAL_IDS = ["ideal-4q", "ideal-2q", "gate+readout-4q", "gate+readout-2q"]
+
+
+def arm_evaluator(ham, n, noise):
+    cfg = VqeConfig(hamiltonian=ham, ansatz=AnsatzSpec(n_qubits=n), shots=256,
+                    noise=noise)
+    return EnergyEvaluator.from_config(cfg)
+
+
+class TestEvaluateOnce:
+    """Work fixed by the evaluator's configuration leaves each estimate as it was."""
+
+    @pytest.mark.parametrize("ham, n, noise", EVAL_ARMS, ids=EVAL_IDS)
+    def test_group_g_draws_default_rng_of_seed_and_g(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-1.2, 0.9, evaluator.parameter_count())
+        circuit = build_circuit(evaluator.ansatz, params)
+        for seed in ([2**64 - 59, 1, 149], 5, [0]):
+            est = evaluator.evaluate(params, seed)
+            head = [seed] if isinstance(seed, int) else seed
+            for g, (group, cv) in enumerate(zip(evaluator.groups, est.group_counts)):
+                ref = run_noisy(circuit.concat(post_rotations(group)), 256,
+                                [*head, g], noise)
+                assert cv == ref
+
+    def test_negative_seed_entry_raises(self):
+        evaluator = arm_evaluator("2q", 2, NoiseModel())
+        with pytest.raises(ValueError):
+            evaluator.evaluate(np.zeros(evaluator.parameter_count()), [4, -1])
+
+    @pytest.mark.parametrize("ham, n, noise", EVAL_ARMS, ids=EVAL_IDS)
+    def test_expectations_on_read_match_eager_tuple(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-0.7, 1.3, evaluator.parameter_count())
+        est = evaluator.evaluate(params, [17, 1, 3])
+        estimator = evaluator._estimator
+        _, values = estimator.energy(cv.probabilities() for cv in est.group_counts)
+        labels = [tuple(t.string.to_label() for t in g.terms) for g in evaluator.groups]
+        eager = tuple(
+            pair for group_labels, v in zip(labels, values)
+            for pair in zip(group_labels, v.tolist())
+        )
+        assert est.expectations == eager
+        assert est.expectations == eager  # a second read
+        pairs = iter(est.expectations)
+        for group, cv in zip(evaluator.groups, est.group_counts):
+            for term in group.terms:
+                label, value = next(pairs)
+                assert label == term.string.to_label()
+                assert value == pytest.approx(
+                    pauli_expectation(term, cv, BitOrder.Q0_RIGHTMOST), abs=1e-12)
+
+    @pytest.mark.parametrize("ham, n, noise", EVAL_ARMS, ids=EVAL_IDS)
+    def test_estimates_equal_for_same_params_and_seed(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-0.3, 0.8, evaluator.parameter_count())
+        a, b = evaluator.evaluate(params, [9, 2]), evaluator.evaluate(params, [9, 2])
+        assert a == b and hash(a) == hash(b)
+        assert a.expectations == b.expectations
+        assert a != evaluator.evaluate(params, [9, 3])
