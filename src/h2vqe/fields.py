@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import operator
 
 _KIND_NAMES = {
@@ -31,6 +32,8 @@ _KIND_NAMES = {
     dict: "an object",
     list: "a list",
 }
+
+_NUMERIC = {int: numbers.Integral, float: numbers.Real}
 
 # metadata key: the test a value must pass against its bound, and its words
 _LIMITS = {
@@ -54,9 +57,17 @@ def choice(default: str, choices: tuple, caseless: bool = False) -> dataclasses.
 
 
 def validate(obj) -> None:
-    """ValueError naming the first field of ``obj`` outside its declared values."""
+    """ValueError naming the first field of ``obj`` outside its declared values.
+
+    A field whose default is an int takes only an integer (numpy's too), one
+    whose default is a float any real number, and neither takes a bool.
+    """
     for f in dataclasses.fields(obj):
         name, value = f.name, getattr(obj, f.name)
+        numeric = _NUMERIC.get(type(f.default))
+        if numeric and (isinstance(value, bool) or not isinstance(value, numeric)):
+            words = _KIND_NAMES[type(f.default)]
+            raise ValueError(f"{name} must be {words}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
         for key, (test, words) in _LIMITS.items():

@@ -182,7 +182,8 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     0.5*rho along the most poorly covered direction) or steps to the
     trust-radius boundary against the interpolated gradient. rho halves
     whenever a trust step achieves less than a tenth of its predicted
-    decrease, from ``rhobeg`` down to ``tolerance``. Unconstrained.
+    decrease, from ``rhobeg`` down to ``tolerance``. Unconstrained. The
+    vertices are the rows of one array, sorted by value at each iteration.
 
     One inverse of E, whose rows are the edges from the best vertex, serves
     each iteration. Column j of E^-1 is orthogonal to every other edge, so
@@ -200,21 +201,19 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
         raise ValueError("x0 must be a non-empty 1-D vector")
     rho = cfg.rhobeg
     rhoend = cfg.tolerance
-    pts = [x0.copy()] + [x0 + rho * np.eye(n)[i] for i in range(n)]
-    vals = [fn(p) for p in pts]
+    pts = np.vstack([x0, x0 + rho * np.eye(n)])
+    vals = np.array([fn(p) for p in pts])
     for _ in range(cfg.max_iterations):
-        order = np.argsort(vals)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        edges = np.array([p - pts[0] for p in pts[1:]])
-        g, repair = _cobyla_geometry(edges, np.array(vals[1:]) - vals[0], rho)
+        order = vals.argsort()
+        pts, vals = pts[order], vals[order]
+        g, repair = _cobyla_geometry(pts[1:] - pts[0], vals[1:] - vals[0], rho)
         if repair is not None:
             bad, direction = repair
             cand = pts[0] + 0.5 * rho * direction
             vals[bad + 1] = fn(cand)
             pts[bad + 1] = cand
             continue
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         if gnorm * rho < 1e-14:
             if rho <= rhoend:
                 break
@@ -250,17 +249,17 @@ def _cobyla_geometry(edges: np.ndarray, dvals: np.ndarray, rho: float):
         u, _, vt = np.linalg.svd(edges)
         return None, (int(np.argmax(np.abs(u[:, -1]))), vt[-1])
     g = inv @ dvals
-    dist = 1.0 / np.linalg.norm(inv, axis=0)
-    lengths = np.linalg.norm(edges, axis=1)
-    close = dist < _COBYLA_ALPHA * rho
-    if lengths.max() > _COBYLA_BETA * rho:
-        bad = int(np.argmax(lengths))
-    elif close.any():
-        bad = int(np.argmax(close))
-    else:
-        return g, None
+    # the column and row norms as np.linalg.norm takes them for real input
+    dist = 1.0 / np.sqrt(np.add.reduce(inv * inv, axis=0))
+    lengths = np.sqrt(np.add.reduce(edges * edges, axis=1))
+    bad = lengths.argmax()
+    if not lengths[bad] > _COBYLA_BETA * rho:
+        close = dist < _COBYLA_ALPHA * rho
+        bad = close.argmax()
+        if not close[bad]:
+            return g, None
     direction = inv[:, bad] * dist[bad]
-    return g, (bad, -direction if g @ direction > 0 else direction)
+    return g, (int(bad), -direction if g @ direction > 0 else direction)
 
 
 def shrink_simplex(points: list[np.ndarray], factor: float) -> list[np.ndarray]:

@@ -43,6 +43,7 @@ import cmath
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,10 +119,14 @@ def _gate_map(gate: Gate, k: int) -> np.ndarray:
         return _H_MAPS[k]
     if gate.name == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        u = np.array([[c, -s], [s, c]])
-    else:
-        half = 0.5j * gate.angle
-        u = np.array([[cmath.exp(-half), 0.0], [0.0, cmath.exp(half)]])
+        if k == 2:
+            return np.array([[c, -s], [s, c]])
+        # U (x) U, each entry one product of two entries of U, as _superop has it
+        cc, cs, ss = c * c, c * s, s * s
+        return np.array([[cc, -cs, -cs, ss], [cs, cc, -ss, -cs],
+                         [cs, -ss, cc, -cs], [ss, cs, cs, cc]])
+    half = 0.5j * gate.angle
+    u = np.array([[cmath.exp(-half), 0.0], [0.0, cmath.exp(half)]])
     return u if k == 2 else _superop(u)
 
 
@@ -251,17 +256,16 @@ class NoiseModel:
         for p01, p10 in self._readout_pairs():
             if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
                 raise ValueError(f"readout probability ({p01}, {p10}) outside [0, 1]")
-
-    def _key(self) -> tuple:
-        """The rates of each channel as pairs, None where it is disabled."""
+        # not a field, so to_dict, parse and dataclasses.replace do not see it
         gate = (self.p1, self.p2) if self.gate_enabled else None
-        return gate, self._readout_pairs() if self.readout_enabled else None
+        readout = self._readout_pairs() if self.readout_enabled else None
+        object.__setattr__(self, "_key", (gate, readout))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NoiseModel) and self._key() == other._key()
+        return isinstance(other, NoiseModel) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def _readout_pairs(self) -> tuple[tuple[float, float], ...]:
         if self.readout and isinstance(self.readout[0], (tuple, list)):
@@ -412,6 +416,15 @@ class CountsVector:
         return CountsVector(tuple(np.asarray(self.counts)[perm].tolist()), self.shots)
 
 
+def seed_entries(seed) -> list[int]:
+    """The ints of an int seed or a sequence of them; ValueError for anything else."""
+    try:
+        entries = (seed,) if isinstance(seed, (int, np.integer)) else seed
+        return [operator.index(s) for s in entries]
+    except TypeError:
+        raise ValueError(f"seed {seed!r} is not an integer or integers") from None
+
+
 def seed_words(seed) -> list[int]:
     """The uint32 words that numpy's SeedSequence derives from an int or ints.
 
@@ -419,8 +432,8 @@ def seed_words(seed) -> list[int]:
     negative one raises ValueError. So a uint32 array of the words seeds
     the stream of ``np.random.default_rng(seed)``."""
     words = []
-    for s in (seed,) if isinstance(seed, (int, np.integer)) else seed:
-        if (s := int(s)) < 0:
+    for s in seed_entries(seed):
+        if s < 0:
             raise ValueError(f"seed entry {s} is negative")
         words += [(s >> b) & 0xFFFFFFFF for b in range(0, max(s.bit_length(), 1), 32)]
     return words
@@ -598,7 +611,8 @@ def counts_to_dict(
 def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
     """Parse a counts-file document; a malformed one raises ValueError.
 
-    Returns the counts in the internal (q0_rightmost) order, the group
+    Optional metadata is checked too: ``energy_ha`` is finite, ``group_id``
+    and ``run_index`` are non-negative integers. Returns the counts in the internal (q0_rightmost) order, the group
     basis as per-qubit labels with index = qubit (q0 first), and the
     leftover metadata fields.
     """
@@ -616,6 +630,11 @@ def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
     if order is BitOrder.Q0_RIGHTMOST:
         basis = basis[::-1]  # under q0_leftmost char i already names qubit i
     cv = CountsVector(tuple(raw), check(doc["shots"], int, "shots")).reordered(order)
+    if not math.isfinite(read(doc, "energy_ha", float, 0.0)):
+        raise ValueError(f"energy_ha must be finite, got {doc['energy_ha']!r}")
+    for key in ("group_id", "run_index"):
+        if read(doc, key, int, 0) < 0:
+            raise ValueError(f"{key} must be non-negative, got {doc[key]!r}")
     meta = {
         k: v
         for k, v in doc.items()

@@ -40,6 +40,7 @@ from .sim import (
     apply_circuit,
     post_rotations,
     run_noisy,
+    seed_entries,
     seed_words,
     statevector,
     walk_prefix,
@@ -238,12 +239,6 @@ class VqeConfig:
     to_dict = fields.to_dict
 
 
-def _child_seed(seed, tag: int) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed), tag]
-    return [int(s) for s in seed] + [tag]
-
-
 class EnergyEvaluator:
     """Prepared VQE objective: grouping, sign tables, and sampling config.
 
@@ -333,7 +328,7 @@ def initial_parameters(cfg: VqeConfig) -> np.ndarray:
     dim = parameter_count(cfg.ansatz)
     if cfg.initial_params == "zeros":
         return np.zeros(dim)
-    rng = np.random.default_rng(_child_seed(cfg.seed, _SEED_INIT))
+    rng = np.random.default_rng(seed_entries(cfg.seed) + [_SEED_INIT])
     return rng.uniform(-math.pi, math.pi, size=dim)
 
 
@@ -351,11 +346,11 @@ def run_vqe(cfg: VqeConfig) -> VqeResult:
 
     def objective(x):
         nonlocal eval_index
-        seed = _child_seed(cfg.seed, _SEED_EVAL) + [eval_index]
+        seed = seed_entries(cfg.seed) + [_SEED_EVAL, eval_index]
         eval_index += 1
         return evaluator.evaluate(x, seed).energy
 
-    opt_rng = np.random.default_rng(_child_seed(cfg.seed, _SEED_OPT))
+    opt_rng = np.random.default_rng(seed_entries(cfg.seed) + [_SEED_OPT])
     try:
         x_best, f_best, trace = minimize(objective, x0, cfg.optimizer, seed=opt_rng)
         complete = True
@@ -365,7 +360,7 @@ def run_vqe(cfg: VqeConfig) -> VqeResult:
         f_best = exc.f_best
         complete = False
     if math.isfinite(f_best):
-        final = evaluator.evaluate(x_best, _child_seed(cfg.seed, _SEED_FINAL))
+        final = evaluator.evaluate(x_best, seed_entries(cfg.seed) + [_SEED_FINAL])
         band = classify_energy(f_best)
         final_counts = final.group_counts
     else:

@@ -598,6 +598,9 @@ class TestSimilarityCommand:
     ({"shots": "8192"}, "shots must be an integer"),
     ({"group_basis": ["X", "Z", "X", "Z"]}, "group_basis must be a string"),
     ({"group_basis": "XZYZ"}, "group_basis"),
+    ({"energy_ha": "abc"}, "energy_ha"),
+    ({"group_id": "x"}, "group_id"),
+    ({"group_id": 1.7}, "group_id"),
 ])
 @pytest.mark.parametrize("command", ["similarity", "energy-from-counts"])
 def test_malformed_counts_file_exit_2(tmp_path, capsys, command, overrides, named):

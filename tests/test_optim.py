@@ -23,7 +23,7 @@ from h2vqe.optim import (
     spsa_minimize,
 )
 from h2vqe.sim import NoiseModel
-from h2vqe.vqe import EnergyEvaluator, get_hamiltonian
+from h2vqe.vqe import EnergyEvaluator, VqeConfig, get_hamiltonian, run_vqe
 
 
 def sphere(x):
@@ -169,6 +169,29 @@ class TestCobyla:
         _, f_best, trace = cobyla_minimize(evaluator.evaluate_analytic, x0, cfg)
         assert len(trace) == 90
         assert f_best == pytest.approx(-1.867109366563296, abs=1e-12)
+
+    @pytest.mark.parametrize("shots, n_evals, energy, best", [
+        # 16 shots: vertex values tie exactly, where reordering would show
+        (16, 56, "-1.9825150000000002", [
+            -0.3012563560236966, 3.217467559317328, -2.9644693891296656,
+            2.858388443546343, 0.1993369331636683, -0.8741320382131096]),
+        (4096, 61, "-1.8394752343750003", [
+            -0.12316850843690397, 2.8844077521418043, -2.8204653535558806,
+            2.877673692124114, -0.0702715228826735, -0.4820896684294849]),
+    ])
+    def test_pinned_sampled_trajectory(self, shots, n_evals, energy, best):
+        # sampled energies are sums of counts/shots terms, so equal vertex
+        # values occur; recorded from the list-based simplex, which sorted
+        # them with the same np.argsort
+        cfg = VqeConfig(
+            hamiltonian="2q", ansatz=AnsatzSpec(n_qubits=2), shots=shots,
+            optimizer=OptimizerConfig(method="cobyla", max_iterations=150),
+            noise=NoiseModel(readout_enabled=True), seed=1,
+        )
+        result = run_vqe(cfg)
+        assert len(result.trace) == n_evals
+        assert repr(result.energy) == energy
+        assert result.params.tolist() == best
 
 
 def qr_distances(edges):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from h2vqe.sim import (
     CountsVector,
     _confusion_maps,
     _cx_permutation,
+    _gate_map,
     _resume,
+    _superop,
     _walk_from_zero,
     _walk_setting,
     NoiseModel,
@@ -27,6 +30,7 @@ from h2vqe.sim import (
     probabilities,
     run_noisy,
     sample_counts,
+    seed_entries,
     seed_words,
     statevector,
     walk_prefix,
@@ -82,6 +86,18 @@ class TestGates:
 
         with pytest.raises(ValueError):
             apply_gate(zero_state(2), Gate("ry", (2,), 0.1), 2)
+
+    def test_ry_superop_equals_broadcast(self):
+        # the 4x4 ry map is built entry by entry; each entry must be the
+        # product _superop forms, so rho-path walks stay bit for bit
+        angles = np.concatenate([
+            np.random.default_rng(31).uniform(-4 * np.pi, 4 * np.pi, 10_000),
+            [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e6],
+        ])
+        for angle in angles:
+            gate = Gate("ry", (0,), float(angle))
+            expected = _superop(_gate_map(gate, 2))
+            assert np.array_equal(_gate_map(gate, 4), expected), angle
 
     def test_norm_preserved_across_full_ansatz(self):
         rng = np.random.default_rng(23)
@@ -698,6 +714,25 @@ class TestNoiseModel:
         off = NoiseModel.from_dict({"gate_errors": False, "readout_errors": False})
         assert off == NoiseModel.from_dict({}) == NoiseModel.ideal()
 
+    def test_flat_pair_equals_single_per_qubit_pair(self):
+        flat = NoiseModel(readout_enabled=True, readout=(0.1, 0.3))
+        single = NoiseModel(readout_enabled=True, readout=((0.1, 0.3),))
+        assert flat == single and hash(flat) == hash(single)
+
+    def test_disabled_channels_ignore_their_rates(self):
+        a = NoiseModel(p1=0.2, p2=0.3, readout=(0.1, 0.1))
+        b = NoiseModel(p1=0.0, p2=0.5, readout=((0.4, 0.0), (0.0, 0.4)))
+        assert a == b and hash(a) == hash(b)
+        assert NoiseModel(gate_enabled=True, p1=0.2) != NoiseModel(gate_enabled=True)
+
+    def test_pickle_round_trip(self):
+        # pool workers receive the model pickled
+        nm = NoiseModel(gate_enabled=True, readout_enabled=True,
+                        readout=((0.1, 0.0), (0.05, 0.2)))
+        back = pickle.loads(pickle.dumps(nm))
+        assert back == nm and hash(back) == hash(nm)
+        assert back.to_dict() == nm.to_dict()
+
 
 class TestSeedWords:
     """A uint32 array of ``seed_words(s)`` draws the stream of default_rng(s)."""
@@ -726,6 +761,13 @@ class TestSeedWords:
     def test_negative_entry_raises(self, seed):
         with pytest.raises(ValueError):
             seed_words(seed)
+
+    @pytest.mark.parametrize("seed", [1.5, [1.5], [3, 2.0], (7, "8"), [None]])
+    def test_non_integer_entry_raises(self, seed):
+        with pytest.raises(ValueError, match="not an integer"):
+            seed_words(seed)
+        with pytest.raises(ValueError, match="not an integer"):
+            seed_entries(seed)
 
     def test_run_noisy_takes_every_seed_kind(self):
         circ = build_circuit(AnsatzSpec(n_qubits=2), np.linspace(0.2, 1.4, 6))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -452,6 +453,25 @@ class TestVqeConfig:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             VqeConfig(initial_params="gaussian")
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        cfg = VqeConfig(
+            hamiltonian="2q", ansatz=AnsatzSpec(n_qubits=2), shots=64,
+            optimizer=OptimizerConfig(method="spsa", max_iterations=2),
+        )
+        a = run_vqe(replace(cfg, seed=np.int64(5)))
+        b = run_vqe(replace(cfg, seed=5))
+        assert a.energy == b.energy and np.array_equal(a.params, b.params)
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            VqeConfig(seed=3.9)
+
+    def test_float_entry_in_evaluate_seed_rejected(self):
+        evaluator = EnergyEvaluator.from_config(VqeConfig())
+        params = np.zeros(evaluator.parameter_count())
+        with pytest.raises(ValueError, match="not an integer"):
+            evaluator.evaluate(params, [1.5])
 
     def test_mismatched_ansatz_rejected(self):
         cfg = VqeConfig(hamiltonian="2q", ansatz=AnsatzSpec(n_qubits=4))
