@@ -50,6 +50,13 @@ class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
 
+    @classmethod
+    def _from_scanned(cls, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit of gates that already passed the range scan, unscanned."""
+        circuit = object.__new__(cls)
+        vars(circuit).update(n_qubits=n_qubits, gates=gates)
+        return circuit
+
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
@@ -61,7 +68,9 @@ class Circuit:
     def concat(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        return Circuit(self.n_qubits, self.gates + other.gates)
+        if not other.gates:
+            return self
+        return Circuit._from_scanned(self.n_qubits, self.gates + other.gates)
 
 
 @dataclass(frozen=True)
@@ -101,13 +110,14 @@ def parameter_count(spec: AnsatzSpec) -> int:
 @lru_cache(maxsize=64)
 def _layout(spec: AnsatzSpec) -> tuple:
     """The gate order of ``spec``: each CX as its Gate, built once, and each
-    rotation as (name, qubits, index of its parameter)."""
+    rotation as (name, qubits, index of its parameter). Rotations act on
+    range(n), so the layout's one range scan checks only the CXs."""
     n, names = spec.n_qubits, ("ry", "rz") if spec.form == "ryrz" else ("ry",)
-    entangler = [Gate("cx", pair) for pair in entangler_pairs(spec)]
+    entangler = Circuit(n, tuple(Gate("cx", pair) for pair in entangler_pairs(spec)))
     ops, k = [], 0
     for layer in range(spec.reps + 1):
         if layer:
-            ops += entangler
+            ops += entangler.gates
         for name in names:
             ops += [(name, (q,), k + q) for q in range(n)]
             k += n
@@ -124,4 +134,4 @@ def build_circuit(spec: AnsatzSpec, params) -> Circuit:
         op if isinstance(op, Gate) else Gate(op[0], op[1], params[op[2]])
         for op in _layout(spec)
     )
-    return Circuit(spec.n_qubits, gates)
+    return Circuit._from_scanned(spec.n_qubits, gates)

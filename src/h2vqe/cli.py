@@ -10,7 +10,6 @@ across reruns, once the timestamp header is suppressed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -142,6 +141,8 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
     if workers <= 1:
         results = [_run_single_safe(t) for t in tasks]
     else:
+        import concurrent.futures  # only here: it pulls in logging
+
         # a fork-started pool forks all of its workers up front
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_safe, tasks))
@@ -601,9 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out_dir", None):
-        os.makedirs(args.out_dir, exist_ok=True)
     try:
+        if getattr(args, "out_dir", None):
+            try:
+                os.makedirs(args.out_dir, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot create --out-dir {args.out_dir!r}: {exc.strerror}"
+                ) from exc
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from h2vqe import ansatz
 from h2vqe.ansatz import (
     AnsatzSpec,
     Circuit,
@@ -11,7 +12,8 @@ from h2vqe.ansatz import (
     entangler_pairs,
     parameter_count,
 )
-from h2vqe.sim import statevector
+from h2vqe.pauli import MeasurementGroup
+from h2vqe.sim import post_rotations, statevector
 
 
 @pytest.mark.parametrize(
@@ -177,3 +179,34 @@ def test_cached_layout_still_checks_every_build():
         build_circuit(spec, params)
     with pytest.raises(ValueError, match="expected 18 parameters, got 17"):
         build_circuit(spec, params[:-1])
+
+
+@pytest.mark.parametrize("form", ["ry", "ryrz"])
+@pytest.mark.parametrize("entanglement", ["linear", "circular", "full"])
+def test_concat_equals_scanned_construction(form, entanglement):
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4, 5):
+        spec = AnsatzSpec(form, entanglement, 2, n)
+        for _ in range(4):
+            a = build_circuit(spec, rng.uniform(-4, 4, parameter_count(spec)))
+            basis = tuple(rng.choice(["X", "Z"], n))
+            b = post_rotations(MeasurementGroup(0, basis, ()))
+            assert a.concat(b) == Circuit(n, a.gates + b.gates)
+            assert a == Circuit(n, a.gates)
+
+
+def test_concat_empty_returns_self_and_checks_width():
+    a = build_circuit(AnsatzSpec("ry", "full", 1, 3), np.zeros(6))
+    assert a.concat(Circuit(3, ())) is a
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        a.concat(Circuit(4, ()))
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        a.concat(Circuit(2, (Gate("h", (0,)),)))
+
+
+def test_layout_scan_rejects_out_of_range_entangler(monkeypatch):
+    spec = AnsatzSpec("ryrz", "circular", 2, 3)
+    ansatz._layout.cache_clear()
+    monkeypatch.setattr(ansatz, "entangler_pairs", lambda spec: ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match=r"gate cx on \(2, 3\) out of range for 3"):
+        build_circuit(spec, np.zeros(parameter_count(spec)))

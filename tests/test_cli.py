@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import h2vqe
 from h2vqe import fixtures
 from h2vqe.cli import (
     RunRecord,
@@ -630,3 +633,28 @@ def test_seed_rejected_outside_run_and_batch(tmp_path, capsys, command):
         main(command + ["--seed", "5", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_dir", ["afile", os.path.join("afile", "sub")])
+@pytest.mark.parametrize("command", ["eigen", "batch"])
+def test_out_dir_not_a_directory_exit_2(tmp_path, capsys, command, out_dir):
+    (tmp_path / "afile").write_text("")
+    config = write_json(tmp_path / "b.json", batch_config(n_runs=1))
+    before = sorted(tmp_path.rglob("*"))
+    target = str(tmp_path / out_dir)
+    argv = {"eigen": ["eigen", "--ham", "2q"], "batch": ["batch", "--config", config]}
+    assert main(argv[command] + ["--out-dir", target]) == 2
+    assert repr(target) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(h2vqe.__file__)))
+    code = (
+        "import sys, h2vqe.cli; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
