@@ -12,8 +12,8 @@ errors) in one multinomial. Shots are i.i.d., so this has the distribution
 of per-shot trajectories that insert a random Pauli after a faulty gate
 and flip each measured bit. The A_q are built once per noise model and
 qubit count. The seed goes to ``np.random.default_rng``; an evaluation
-draws group g from the stream of ``default_rng([*seed, g])``, seeded from
-the uint32 words of :func:`seed_words` that numpy would derive from it.
+draws group g from the stream of ``default_rng([*seed, g])``, its start
+derived for many seeds at once by :func:`pcg64_seed_states`, bit for bit.
 
 One gate walker (:func:`_walk`) runs every circuit. Its array has one axis
 of width k per qubit: k = 2 for a statevector, and k = 4 for the density
@@ -437,6 +437,54 @@ def seed_words(seed) -> list[int]:
             raise ValueError(f"seed entry {s} is negative")
         words += [(s >> b) & 0xFFFFFFFF for b in range(0, max(s.bit_length(), 1), 32)]
     return words
+
+
+# numpy's SeedSequence hash (a pool of four uint32 words) and PCG64 seeding
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK128 = 0xCA01F9DD, 0x4973F715, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """uint32 column of init * mult^k mod 2^32, k = 0 .. count - 1."""
+    h = np.cumprod([init] + [mult] * (count - 1), dtype=np.uint64)  # wraps mod 2^64
+    return h.astype(np.uint32)[:, None]
+
+
+def _hashed(v: np.ndarray, h: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """numpy's hashmix of ``v`` by calls k .. k + rows - 1, one per row."""
+    v = (v ^ h[k:k + rows]) * h[k + 1:k + rows + 1]
+    return v ^ (v >> 16)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def pcg64_seed_states(columns: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``np.random.default_rng(c)`` for each column c.
+
+    ``columns`` is a (words, N) uint32 array. This is numpy's SeedSequence
+    hash and PCG64 seeding, done for all N columns at once.
+    """
+    h = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * max(len(columns) - 4, 0))
+    pool = np.zeros((4, columns.shape[1]), dtype=np.uint32)
+    pool[:len(columns)] = columns[:4]
+    pool = _hashed(pool, h, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], h, 4 + 3 * src, 3))
+    for i, word in enumerate(columns[4:]):
+        pool = _mixed(pool, _hashed(word, h, 16 + 4 * i, 4))
+    out = _hashed(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 9), 0, 8)
+    out = out.astype(np.uint64)  # uint64 word j: uint32 words 2j (low half), 2j + 1
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(out[0::2] | out[1::2] << 32).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 @lru_cache(maxsize=64)

@@ -38,6 +38,7 @@ from .sim import (
     CountsVector,
     NoiseModel,
     apply_circuit,
+    pcg64_seed_states,
     post_rotations,
     run_noisy,
     seed_entries,
@@ -57,6 +58,7 @@ _SEED_INIT = 0
 _SEED_EVAL = 1
 _SEED_OPT = 2
 _SEED_FINAL = 3
+_SEED_BLOCK = 64  # consecutive evaluations whose group seeds are derived at once
 
 
 # Winner of resolve_bit_order(), hardcoded for serialized artifacts; the
@@ -265,6 +267,8 @@ class EnergyEvaluator:
         self._estimator = _Estimator(
             self.groups, self.identity, hamiltonian.n_qubits
         )
+        self._seed_states, self._next_words = {}, None  # see _group_states
+        self._rng = None  # one Generator, made at the first sampled evaluation
 
     @classmethod
     def from_config(cls, cfg: VqeConfig) -> "EnergyEvaluator":
@@ -275,25 +279,43 @@ class EnergyEvaluator:
     def parameter_count(self) -> int:
         return parameter_count(self.ansatz)
 
+    def _group_states(self, words: list[int]) -> list[tuple[int, int]]:
+        """The PCG64 (state, inc) of ``np.random.default_rng([*words, g])`` per group g,
+        cached by the words. A miss at the words after the last derived ones
+        (last word plus one, below 2^32) derives the next _SEED_BLOCK seeds'
+        states at once, cut short at 2^32 - 1; any other miss, its own."""
+        key = tuple(words)
+        if key not in self._seed_states:
+            size = min(_SEED_BLOCK, 2**32 - key[-1]) if key == self._next_words else 1
+            keys = [(*key[:-1], key[-1] + i) for i in range(size)] if key else [key]
+            groups = len(self._post_rotations)
+            flat = pcg64_seed_states(np.array(
+                [[*k, g] for k in keys for g in range(groups)], dtype=np.uint32).T)
+            self._seed_states = {k: flat[i * groups:(i + 1) * groups]
+                                 for i, k in enumerate(keys)}
+            self._next_words = (*keys[-1][:-1], keys[-1][-1] + 1) if key else None
+        return self._seed_states[key]
+
     def evaluate(self, params, seed) -> EnergyEstimate:
         """Sampled energy estimate; deterministic in (params, seed).
 
-        The ansatz is walked once; each group resumes that walk with its
-        own post-rotations, drawing the counts a full walk of
-        ``circuit.concat(rotation)`` would. Group g draws the stream of
-        ``np.random.default_rng([*seed, g])``, seeded from ``seed``'s words.
+        The ansatz is walked once; each group resumes that walk with its own
+        post-rotations, drawing the counts a full walk of ``circuit.concat(rotation)``
+        would. Group g draws the same stream as ``default_rng([*seed, g])``, from
+        one Generator set to its start, derived in blocks (:meth:`_group_states`).
         """
         circuit = build_circuit(self.ansatz, params)
         checkpoint = walk_prefix(circuit, self.noise)
-        words = seed_words(seed)
-        counts = tuple(
-            run_noisy(
-                circuit.concat(rotation), self.shots,
-                np.array(words + [g], dtype=np.uint32), self.noise, prefix=checkpoint,
-            )
-            for g, rotation in enumerate(self._post_rotations)
-        )
-        return self._estimator.estimate(counts, BitOrder.Q0_RIGHTMOST)
+        states = self._group_states(seed_words(seed))
+        self._rng = self._rng or np.random.default_rng()
+        counts = []
+        for (state, inc), rotation in zip(states, self._post_rotations):
+            self._rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            counts.append(run_noisy(circuit.concat(rotation), self.shots, self._rng,
+                                    self.noise, prefix=checkpoint))
+        return self._estimator.estimate(tuple(counts), BitOrder.Q0_RIGHTMOST)
 
     def evaluate_analytic(self, params) -> float:
         """Exact-probability energy (no sampling, no noise); test oracle."""

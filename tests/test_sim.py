@@ -26,6 +26,7 @@ from h2vqe.sim import (
     counts_from_dict,
     counts_to_dict,
     density_matrix,
+    pcg64_seed_states,
     post_rotations,
     probabilities,
     run_noisy,
@@ -782,6 +783,34 @@ class TestSeedWords:
         assert a == run_noisy(circ, 512, np.random.SeedSequence(8), noise)
         with pytest.raises(ValueError):
             run_noisy(circ, 512, [5, -1], noise)
+
+
+class TestPcg64SeedStates:
+    """The block derivation seeds PCG64 exactly as np.random.default_rng does."""
+
+    @pytest.mark.parametrize("words", range(1, 10))
+    def test_matches_default_rng(self, words):
+        rng = np.random.default_rng(1000 + words)
+        columns = rng.integers(0, 2**32, size=(words, 203), dtype=np.uint32)
+        columns[:, 0] = 0
+        columns[:, 1] = 2**32 - 1
+        columns[::2, 2] = 2**32 - 1  # and 0 at the odd rows
+        columns[1::2, 2] = 0
+        states = pcg64_seed_states(columns)
+        assert len(states) == 203
+        for column, state in zip(columns.T, states):
+            ref = np.random.default_rng(column).bit_generator.state["state"]
+            assert state == (ref["state"], ref["inc"])
+
+    def test_single_column_and_stream(self):
+        column = np.array([derive_run_seed(424242, 0) & 0xFFFFFFFF, 1, 0, 1],
+                          dtype=np.uint32)
+        ((state, inc),) = pcg64_seed_states(column[:, None])
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
+        ref = np.random.default_rng(column)
+        assert np.array_equal(rng.integers(0, 2**63, 64), ref.integers(0, 2**63, 64))
 
 
 class TestConfusionMaps:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -590,3 +593,75 @@ class TestEvaluateOnce:
         assert a == b and hash(a) == hash(b)
         assert a.expectations == b.expectations
         assert a != evaluator.evaluate(params, [9, 3])
+
+
+def group_reference(evaluator, params, seed):
+    """Each group's counts as ``run_noisy(..., [*seed, g], ...)`` draws them."""
+    circuit = build_circuit(evaluator.ansatz, params)
+    head = [seed] if isinstance(seed, int) else list(seed)
+    return tuple(
+        run_noisy(circuit.concat(post_rotations(group)), evaluator.shots,
+                  [*head, g], evaluator.noise)
+        for g, group in enumerate(evaluator.groups)
+    )
+
+
+SEED_ARMS = [("4q", 4, NoiseModel()),
+             ("4q", 4, NoiseModel(gate_enabled=True, readout_enabled=True))]
+
+
+@pytest.mark.parametrize("ham, n, noise", SEED_ARMS, ids=["ideal", "gate+readout"])
+class TestSeedBlocks:
+    """Group seeds derived in blocks of evaluations leave every stream as it was."""
+
+    def assert_streams(self, evaluator, params, seeds):
+        for seed in seeds:
+            assert (evaluator.evaluate(params, seed).group_counts
+                    == group_reference(evaluator, params, seed)), seed
+
+    @pytest.mark.parametrize("block", [7, vqe_mod._SEED_BLOCK])
+    def test_consecutive_indices_cross_blocks(self, monkeypatch, ham, n, noise, block):
+        monkeypatch.setattr(vqe_mod, "_SEED_BLOCK", block)
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-1.1, 0.6, evaluator.parameter_count())
+        assert block + 1 < 100  # seed 0 alone, a block from 1, one more or several
+        self.assert_streams(evaluator, params, [[31337, 1, 0], [31337, 1, 1]])
+        assert len(evaluator._seed_states) == block
+        self.assert_streams(evaluator, params, [[31337, 1, i] for i in range(2, 100)])
+
+    def test_repeated_and_out_of_order_seeds(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-0.4, 1.2, evaluator.parameter_count())
+        self.assert_streams(evaluator, params, [
+            [5, 1, 3], [5, 1, 4], [5, 1, 3], [5, 1, 90], [5, 1, 2], [5, 1, 4],
+            [5, 3], [5, 1, 91], [5, 1, 90], [6, 1, 91], [5, 1, 92],
+        ])
+
+    def test_int_and_empty_seeds(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(0.2, -0.9, evaluator.parameter_count())
+        self.assert_streams(evaluator, params, [5, 6, [], 7, [], 0, 1, [6]])
+
+    def test_last_word_near_its_limit(self, ham, n, noise):
+        evaluator = arm_evaluator(ham, n, noise)
+        params = np.linspace(-0.5, 0.5, evaluator.parameter_count())
+        self.assert_streams(evaluator, params, [
+            [7, 2**32 - 3], [7, 2**32 - 2], [7, 2**32 - 1], [7, 2**32], [7, 2**32 + 1],
+            2**32 - 2, 2**32 - 1, 2**32,
+        ])
+
+
+def test_analytic_evaluation_leaves_numpy_random_unloaded():
+    """The sampler's Generator is made at the first sampled evaluation, so a
+    process that only builds an evaluator and asks for exact energies never
+    imports numpy.random."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vqe_mod.__file__)))
+    code = (
+        "import sys, numpy as np, h2vqe.vqe as v; "
+        "e = v.EnergyEvaluator.from_config(v.VqeConfig(hamiltonian='4q')); "
+        "e.evaluate_analytic(np.zeros(e.parameter_count())); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
