@@ -23,11 +23,7 @@ import numpy as np
 from . import fields, fixtures
 from .pauli import Hamiltonian, MeasurementGroup, eigenvalues, group_terms, to_dense
 from .sim import BitOrder, CountsVector, counts_to_dict, load_counts, save_counts
-from .similarity import (
-    EnergyBands,
-    batch_average_similarity,
-    classify_energy,
-)
+from .similarity import batch_average_similarity, classify_energy
 from .vqe import (
     RESOLVED_BIT_ORDER,
     VqeConfig,
@@ -73,11 +69,7 @@ class RunRecord:
     )
 
     def to_row(self) -> list[str]:
-        return [
-            str(self.run_index), str(self.seed), repr(self.energy_ha),
-            self.band, str(self.evaluations), self.optimizer, self.ansatz,
-            self.noise, self.status,
-        ]
+        return [str(getattr(self, name)) for name in self.FIELDS]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "RunRecord":
@@ -94,42 +86,25 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_single(cfg_template: VqeConfig, run_index: int, base_seed: int):
-    """One batch run; returns its RunRecord and final counts, one per group."""
-    seed = derive_run_seed(base_seed, run_index)
-    cfg = replace(cfg_template, seed=seed)
-    result = run_vqe(cfg)
+def _run_single(task: tuple[VqeConfig, int, int]):
+    """One batch run: its RunRecord and final counts, one per group. A run
+    that raises is recorded as failed, with no counts, and the batch goes on."""
+    cfg_template, run_index, base_seed = task
+    cfg = replace(cfg_template, seed=derive_run_seed(base_seed, run_index))
     record = RunRecord(
-        run_index=run_index,
-        seed=seed,
-        energy_ha=result.energy,
-        band=result.band,
-        evaluations=result.evaluations,
-        optimizer=cfg.optimizer.method,
-        ansatz=cfg.ansatz.describe(),
-        noise=cfg.noise.describe(),
-        status="ok" if result.complete else "incomplete",
+        run_index=run_index, seed=cfg.seed, energy_ha=math.nan, band="",
+        evaluations=0, optimizer=cfg.optimizer.method,
+        ansatz=cfg.ansatz.describe(), noise=cfg.noise.describe(),
     )
-    return record, result.final_counts
-
-
-def _run_single_safe(args):
-    cfg_template, run_index, base_seed = args
     try:
-        return _run_single(cfg_template, run_index, base_seed)
+        result = run_vqe(cfg)
     except Exception as exc:  # per-run failures recorded, batch continues
-        record = RunRecord(
-            run_index=run_index,
-            seed=derive_run_seed(base_seed, run_index),
-            energy_ha=math.nan,
-            band="",
-            evaluations=0,
-            optimizer=cfg_template.optimizer.method,
-            ansatz=cfg_template.ansatz.describe(),
-            noise=cfg_template.noise.describe(),
-            status=f"failed: {exc}",
-        )
+        record.status = f"failed: {exc}"
         return record, ()
+    record.energy_ha, record.band = result.energy, result.band
+    record.evaluations = result.evaluations
+    record.status = "ok" if result.complete else "incomplete"
+    return record, result.final_counts
 
 
 def execute_batch(experiment: ExperimentConfig, workers: int = 1):
@@ -139,13 +114,13 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
     ]
     workers = min(workers, len(tasks))
     if workers <= 1:
-        results = [_run_single_safe(t) for t in tasks]
+        results = [_run_single(t) for t in tasks]
     else:
         import concurrent.futures  # only here: it pulls in logging
 
         # a fork-started pool forks all of its workers up front
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_safe, tasks))
+            results = list(pool.map(_run_single, tasks))
     results.sort(key=lambda rc: rc[0].run_index)
     return results
 
@@ -173,7 +148,34 @@ def _counts_documents(
     return docs
 
 
-def _write_csv(path: str, header: list[str], rows, no_timestamp: bool) -> None:
+SIMILARITY_FIELDS = ("energy_ha", "avg_jt", "avg_sqrt_dot", "band", "group_id")
+MEASURES = ("jt", "sqrtdot")
+
+
+def similarity_rows(entries, measures=MEASURES) -> list[list[str]]:
+    """Rows of similarity.csv, one per (counts, basis, energy or None, group id)
+    entry and in the entries' order.
+
+    Each requested measure is averaged over the entries that share a basis;
+    a measure not requested, and an absent energy with its band, are blank.
+    """
+    by_basis: dict[tuple[str, ...], list[int]] = {}
+    for i, (_, basis, _, _) in enumerate(entries):
+        by_basis.setdefault(basis, []).append(i)
+    averages = {m: [""] * len(entries) for m in MEASURES}
+    for idxs in by_basis.values():
+        vectors = [entries[i][0].probabilities() for i in idxs]
+        for m in measures:
+            for i, v in zip(idxs, batch_average_similarity(vectors, m)):
+                averages[m][i] = repr(float(v))
+    return [
+        ["" if e is None else repr(float(e)), averages["jt"][i], averages["sqrtdot"][i],
+         "" if e is None else classify_energy(float(e)), str(gid)]
+        for i, (_, _, e, gid) in enumerate(entries)
+    ]
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows, no_timestamp: bool) -> None:
     """Quote only fields that need it, such as a noise label with a comma."""
     with open(path, "w", newline="") as fh:
         if not no_timestamp:
@@ -356,40 +358,26 @@ def cmd_batch(args) -> int:
     results = execute_batch(experiment, workers=args.workers)
     records = [r for r, _ in results]
 
-    _write_csv(
-        os.path.join(args.out_dir, "runs.csv"),
-        list(RunRecord.FIELDS),
-        (r.to_row() for r in records),
-        args.no_timestamp,
-    )
+    _write_csv(os.path.join(args.out_dir, "runs.csv"), RunRecord.FIELDS,
+               (r.to_row() for r in records), args.no_timestamp)
 
     counts_dir = os.path.join(args.out_dir, "counts")
     os.makedirs(counts_dir, exist_ok=True)
-    by_group: dict[int, list[tuple[RunRecord, CountsVector]]] = {}
     for record, final_counts in results:
-        docs = _counts_documents(groups, final_counts, record)
-        for g, (cv, doc) in enumerate(zip(final_counts, docs)):
+        for g, doc in enumerate(_counts_documents(groups, final_counts, record)):
             path = os.path.join(counts_dir, f"run{record.run_index:04d}_g{g}.json")
             save_counts(path, doc)
-            by_group.setdefault(g, []).append((record, cv))
 
-    sim_rows = []
-    for gid in sorted(by_group):
-        entries = by_group[gid]
-        vectors = [cv.probabilities() for _, cv in entries]
-        avg_jt = batch_average_similarity(vectors, "jt")
-        avg_sd = batch_average_similarity(vectors, "sqrtdot")
-        for (record, _), jt, sd in zip(entries, avg_jt, avg_sd):
-            sim_rows.append(
-                [repr(record.energy_ha), repr(float(jt)), repr(float(sd)),
-                 record.band, str(gid)]
-            )
-    _write_csv(
-        os.path.join(args.out_dir, "similarity.csv"),
-        ["energy_ha", "avg_jt", "avg_sqrt_dot", "band", "group_id"],
-        sim_rows,
-        args.no_timestamp,
-    )
+    # group by group, each group's runs in run order; a run with no counts
+    # (failed, or a non-finite energy) has no rows
+    sim_rows = similarity_rows([
+        (final_counts[g], group.basis, record.energy_ha, g)
+        for g, group in enumerate(groups)
+        for record, final_counts in results
+        if final_counts
+    ])
+    _write_csv(os.path.join(args.out_dir, "similarity.csv"), SIMILARITY_FIELDS,
+               sim_rows, args.no_timestamp)
 
     if experiment.emit_svg:
         ok = [r for r in records if r.status == "ok" and math.isfinite(r.energy_ha)]
@@ -498,47 +486,18 @@ def cmd_similarity(args) -> int:
     if len(dims) > 1:
         raise UsageError(f"mixed qubit counts across inputs: {sorted(dims)}")
 
-    by_basis: dict[tuple[str, ...], list[int]] = {}
-    for i, (_, _, basis, _) in enumerate(entries):
-        by_basis.setdefault(basis, []).append(i)
-    group_ids = {}
-    for gid, basis in enumerate(sorted(by_basis)):
-        for i in by_basis[basis]:
-            meta = entries[i][3]
-            group_ids[i] = int(meta.get("group_id", gid))
-
-    avg_jt = [math.nan] * len(entries)
-    avg_sd = [math.nan] * len(entries)
-    for basis, idxs in by_basis.items():
-        vectors = [entries[i][1].probabilities() for i in idxs]
-        if args.measure in ("jt", "both"):
-            for i, v in zip(idxs, batch_average_similarity(vectors, "jt")):
-                avg_jt[i] = float(v)
-        if args.measure in ("sqrtdot", "both"):
-            for i, v in zip(idxs, batch_average_similarity(vectors, "sqrtdot")):
-                avg_sd[i] = float(v)
-
-    bands = EnergyBands()
-    rows = []
-    for i, (name, cv, basis, meta) in enumerate(entries):
-        energy = meta.get("energy_ha")
-        band = classify_energy(float(energy), bands) if energy is not None else ""
-        rows.append(
-            [
-                repr(float(energy)) if energy is not None else "",
-                repr(avg_jt[i]) if not math.isnan(avg_jt[i]) else "",
-                repr(avg_sd[i]) if not math.isnan(avg_sd[i]) else "",
-                band,
-                str(group_ids[i]),
-            ]
-        )
-    out = os.path.join(args.out_dir, "similarity.csv")
-    _write_csv(
-        out,
-        ["energy_ha", "avg_jt", "avg_sqrt_dot", "band", "group_id"],
-        rows,
-        args.no_timestamp,
+    # in input order; a file without a group id takes its basis's sorted rank
+    bases = sorted({basis for _, _, basis, _ in entries})
+    rows = similarity_rows(
+        [
+            (cv, basis, meta.get("energy_ha"),
+             int(meta.get("group_id", bases.index(basis))))
+            for _, cv, basis, meta in entries
+        ],
+        MEASURES if args.measure == "both" else (args.measure,),
     )
+    out = os.path.join(args.out_dir, "similarity.csv")
+    _write_csv(out, SIMILARITY_FIELDS, rows, args.no_timestamp)
     print(out)
     return 0
 
@@ -588,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", parents=[common],
                        help="batch-averaged similarity CSV")
-    p.add_argument("--measure", choices=("jt", "sqrtdot", "both"),
-                   default="both")
+    p.add_argument("--measure", choices=(*MEASURES, "both"), default="both")
     p.add_argument("--batch-dir", default=None,
                    help="directory with counts JSON files (or a batch out-dir)")
     p.add_argument("--fixtures", nargs="*", default=[],

@@ -53,13 +53,13 @@ class Trace:
         _, x, _ = min(self.entries, key=lambda e: e[2])
         return x.copy()
 
-    def to_csv(self, path: str, value_label: str = "energy_ha") -> None:
-        """Columns: eval_index, value, then one column per parameter."""
+    def to_csv(self, path: str) -> None:
+        """Columns: eval_index, energy_ha, then one column per parameter."""
         dim = len(self.entries[0][1]) if self.entries else 0
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
-                ["eval_index", value_label] + [f"param_{i}" for i in range(dim)]
+                ["eval_index", "energy_ha"] + [f"param_{i}" for i in range(dim)]
             )
             for idx, x, v in self.entries:
                 writer.writerow([idx, repr(v)] + [repr(float(p)) for p in x])
@@ -312,7 +312,10 @@ def nelder_mead_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     return trace.best_x, trace.best_value, trace
 
 
-def _bracket(fn, h: float, f0: float, max_expansions: int = 40):
+_BRACKET_EXPANSIONS = 40
+
+
+def _bracket(fn, h: float, f0: float):
     """Bracket a 1-D minimum of fn(t) around t=0, trying both signs.
 
     Returns (a, b) with a < b enclosing a minimum, or None if no descent
@@ -324,7 +327,7 @@ def _bracket(fn, h: float, f0: float, max_expansions: int = 40):
         if f1 >= f0:
             continue
         t0, expand = 0.0, 2.0
-        for _ in range(max_expansions):
+        for _ in range(_BRACKET_EXPANSIONS):
             t2 = t1 + (t1 - t0) * expand
             f2 = fn(t2)
             if f2 >= f1:

@@ -102,17 +102,14 @@ class Hamiltonian:
                     f"term {t.string.to_label()} has {t.string.n_qubits} qubits, "
                     f"expected {self.n_qubits}"
                 )
-        merged: dict[tuple[str, ...], float] = {}
-        order: list[tuple[str, ...]] = []
+        merged: dict[tuple[str, ...], float] = {}  # in first-seen order
         for t in self.terms:
-            if t.string.labels not in merged:
-                order.append(t.string.labels)
-                merged[t.string.labels] = 0.0
-            merged[t.string.labels] += t.coefficient
+            lab = t.string.labels
+            merged[lab] = merged.get(lab, 0.0) + t.coefficient
         object.__setattr__(
             self,
             "terms",
-            tuple(PauliTerm(merged[lab], PauliString(lab)) for lab in order),
+            tuple(PauliTerm(c, PauliString(lab)) for lab, c in merged.items()),
         )
 
     @property
@@ -226,15 +223,15 @@ def h2_2qubit() -> Hamiltonian:
     )
 
 
-def to_dense(h: Hamiltonian, max_qubits: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def to_dense(h: Hamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hamiltonian.
 
     Qubit 0 sits in the least-significant tensor slot, i.e. the matrix is
     sum of coeff * kron(P_{n-1}, ..., P_1, P_0).
     """
-    if h.n_qubits > max_qubits:
+    if h.n_qubits > DENSE_QUBIT_CAP:
         raise ValueError(
-            f"{h.n_qubits} qubits exceeds the dense-matrix cap of {max_qubits}"
+            f"{h.n_qubits} qubits exceeds the dense-matrix cap of {DENSE_QUBIT_CAP}"
         )
     dim = 2 ** h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
@@ -246,17 +243,21 @@ def to_dense(h: Hamiltonian, max_qubits: int = DENSE_QUBIT_CAP) -> np.ndarray:
     return out
 
 
-def _jacobi_symmetric_eigvals(
-    a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
+# both tolerances are relative to the largest entry, or to 1 if that is smaller
+_JACOBI_TOL = 1e-12  # on the off-diagonal norm
+_JACOBI_MAX_SWEEPS = 60
+_HERMITICITY_TOL = 1e-10
+
+
+def _jacobi_symmetric_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         # summed directly: total minus diagonal can cancel below zero
         off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -283,7 +284,7 @@ def _jacobi_symmetric_eigvals(
     return np.diag(a).copy()
 
 
-def eigenvalues(m: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
     Complex Hermitian input is embedded as the real symmetric matrix
@@ -294,11 +295,11 @@ def eigenvalues(m: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > hermiticity_tol * scale:
+    if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian")
     a = np.real(m)
     b = np.imag(m)
-    if np.abs(b).max() <= hermiticity_tol * scale:
+    if np.abs(b).max() <= _HERMITICITY_TOL * scale:
         return np.sort(_jacobi_symmetric_eigvals(a))
     embedded = np.block([[a, -b], [b, a]])
     doubled = np.sort(_jacobi_symmetric_eigvals(embedded))

@@ -290,7 +290,8 @@ class EnergyEvaluator:
             keys = [(*key[:-1], key[-1] + i) for i in range(size)] if key else [key]
             groups = len(self._post_rotations)
             flat = pcg64_seed_states(np.array(
-                [[*k, g] for k in keys for g in range(groups)], dtype=np.uint32).T)
+                [[*k, g] for k in keys for g in range(groups)], dtype=np.uint32
+            ).reshape(-1, len(key) + 1).T)  # shaped even with no groups
             self._seed_states = {k: flat[i * groups:(i + 1) * groups]
                                  for i, k in enumerate(keys)}
             self._next_words = (*keys[-1][:-1], keys[-1][-1] + 1) if key else None

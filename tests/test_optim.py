@@ -11,6 +11,7 @@ from h2vqe.ansatz import AnsatzSpec
 from h2vqe.optim import (
     _COBYLA_ALPHA,
     _COBYLA_BETA,
+    METHODS,
     OptimizationAbort,
     OptimizerConfig,
     Trace,
@@ -402,6 +403,14 @@ class TestCrossMethod:
         cfg = OptimizerConfig(method=method, max_iterations=30)
         x_best, f_best, trace = minimize(sphere, np.full(2, 1.0), cfg, seed=8)
         assert sphere(x_best) == pytest.approx(f_best)
+
+    @pytest.mark.parametrize("x0", [np.zeros(0), np.zeros((2, 2))],
+                             ids=["empty", "2-D"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rejects_x0_not_a_nonempty_vector(self, method, x0):
+        cfg = OptimizerConfig(method=method, max_iterations=5)
+        with pytest.raises(ValueError, match="x0 must be a non-empty 1-D vector"):
+            minimize(sphere, x0, cfg, seed=9)
 
 
 class TestConfigAndTrace:
