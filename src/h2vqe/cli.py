@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -126,6 +127,8 @@ def execute_batch(experiment: ExperimentConfig, workers: int = 1):
 
 
 # ---------------------------------------------------------------- output --
+
+COUNTS_FILE = re.compile(r"run\d+_g\d+\.json")  # a batch run's counts, per group
 
 
 def _counts_documents(
@@ -363,6 +366,9 @@ def cmd_batch(args) -> int:
 
     counts_dir = os.path.join(args.out_dir, "counts")
     os.makedirs(counts_dir, exist_ok=True)
+    for name in os.listdir(counts_dir):  # an earlier batch's counts go first
+        if COUNTS_FILE.fullmatch(name):
+            os.remove(os.path.join(counts_dir, name))
     for record, final_counts in results:
         for g, doc in enumerate(_counts_documents(groups, final_counts, record)):
             path = os.path.join(counts_dir, f"run{record.run_index:04d}_g{g}.json")

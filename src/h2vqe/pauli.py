@@ -30,6 +30,10 @@ _SINGLE_QUBIT = {
 # largest n with the eigen oracle under 30 s on 2 vCPUs (8q: 9 s, 9q: 65 s)
 DENSE_QUBIT_CAP = 8
 
+# largest ansatz a run simulates: its statevector holds 2^n floats, real or
+# complex, so at most 16 MiB at 20 qubits but 2 PiB or more at 48
+STATEVECTOR_QUBIT_CAP = 20
+
 
 @dataclass(frozen=True)
 class PauliString:

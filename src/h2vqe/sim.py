@@ -35,6 +35,14 @@ walks only the gates after the checkpoint's, into a copy of its pending
 maps, then flushes. That is the arithmetic of a full walk, so its counts
 are bit-identical, and one checkpoint of an ansatz serves every
 measurement group's post-rotations.
+
+Statevectors on at most DENSE_ANSATZ_QUBITS qubits have a second form,
+:class:`DenseAnsatz`: an ansatz's rotation layers as 2^n x 2^n Kronecker
+products, its entangling layers as composed gathers and every group's H
+tail in one stacked matrix, applied by matrix-vector products. It rounds
+differently from the walker, so its probabilities match the walker's to a
+few ulps rather than bit for bit. :func:`finished_walk` hands such a
+statevector to ``run_noisy`` as a checkpoint with nothing left to walk.
 """
 
 from __future__ import annotations
@@ -591,6 +599,74 @@ def _resume(cp: WalkCheckpoint, circuit: Circuit, noise: NoiseModel) -> np.ndarr
     return _flush(r, pending, cp.n_qubits, cp.k)
 
 
+def finished_walk(circuit: Circuit, state: np.ndarray) -> WalkCheckpoint:
+    """A checkpoint of all of ``circuit`` with nothing pending, at ``state``,
+    its final statevector as computed elsewhere (say by :class:`DenseAnsatz`).
+    ``run_noisy(circuit, ..., prefix=)`` then only samples it."""
+    return WalkCheckpoint(circuit.gates, circuit.n_qubits, 2, 1.0, 1.0, state, ())
+
+
+# Largest register an evaluator walks as a DenseAnsatz. On 2 vCPUs, against
+# walk_prefix plus one resume per group, its layer maps (2^n x 2^n each) were
+# about 3-5x faster on 2 to 5 qubits, level at 6 and 4x slower at 7.
+DENSE_ANSATZ_QUBITS = 5
+
+# Ry entries [[c, -s], [s, c]] and Rz's row phases c -/+ is, as slots of the
+# per-evaluation table: c, s, -s, c - is, c + is of each half angle
+_SLOTS = {"ry": np.array([[0, 2], [1, 0]]), "rz": np.array([[3, 3], [4, 4]])}
+
+
+class DenseAnsatz:
+    """The statevector walk of an ansatz from |0...0>, as dense layer maps.
+
+    Built once from ``ansatz._layout``'s gate order on ``n`` qubits and the
+    G measurement groups' post-rotation circuits (``tails``). Each run of
+    CXs becomes one composed gather, and the tails one (G 2^n) x 2^n matrix.
+    A rotation layer holds an Ry on every qubit, then optionally an Rz,
+    which is diagonal and so scales row i by the phase of bit q of i. Entry
+    (i, j) of the layer's 2^n x 2^n Kronecker product is then a product of
+    one factor per gate, each an entry of a per-evaluation table; which
+    entry is fixed here.
+    """
+
+    def __init__(self, layout, n: int, tails):
+        layers, self._gathers = [], []
+        for op in layout:
+            if isinstance(op, Gate):  # a CX, after the first rotation layer
+                if len(self._gathers) < len(layers):
+                    self._gathers.append(np.arange(2**n))
+                self._gathers[-1] = self._gathers[-1][_cx_permutation(n, *op.qubits)]
+            else:
+                if len(layers) == len(self._gathers):
+                    layers.append([])
+                layers[-1].append(op)
+        count = sum(len(layer) for layer in layers)  # one parameter per rotation
+        self._complex = any(name == "rz" for layer in layers for name, _, _ in layer)
+        ij, qubit = np.arange(4**n), np.arange(n)[:, None]  # entry (i, j) at i 2^n + j
+        bits = (ij >> (n + qubit)) & 1, (ij >> qubit) & 1  # bit q of i and of j, per q
+        slots = {name: table[bits] for name, table in _SLOTS.items()}
+        self._index = np.array([
+            [slots[name][q] * count + k for name, (q,), k in layer] for layer in layers
+        ])
+        maps = [_walk(np.eye(2**n), tail.gates, n, 2) for tail in tails]
+        self._tails = np.array(maps).reshape(-1, 2**n)
+        self.n_qubits = n
+
+    def amplitudes(self, params) -> np.ndarray:
+        """Read-only (G, 2^n) array: row g is the ansatz's statevector at
+        ``params`` after group g's H tail. The trig of every parameter is
+        one pass, each layer map one gather and product over its gates."""
+        z = np.exp(0.5j * np.asarray(params, dtype=float))
+        c, s = z.real, z.imag
+        table = np.concatenate((c, s, -s, z.conj(), z) if self._complex else (c, s, -s))
+        d = 2**self.n_qubits
+        maps = table[self._index].prod(axis=1).reshape(-1, d, d)
+        state = maps[0, :, 0]
+        for layer, gather in zip(maps[1:], self._gathers):
+            state = layer @ state[gather]
+        return _frozen((self._tails @ state).reshape(-1, d))
+
+
 def run_noisy(
     circuit: Circuit,
     shots: int,
@@ -612,9 +688,11 @@ def run_noisy(
     ``prefix``, from :func:`walk_prefix`, resumes a walk of the circuit's
     first gates: only the rest are walked, into a copy of its pending maps,
     and the flush then runs in the order a full walk would take. So the
-    counts are bit-identical to a call without it. A ``prefix`` whose gates
-    do not begin the circuit, or that was walked for another qubit count or
-    other gate-noise rates, raises ValueError; readout noise may differ.
+    counts are bit-identical to a call without it. A ``prefix`` from
+    :func:`finished_walk` covers every gate, so only sampling is left. A
+    ``prefix`` whose gates do not begin the circuit, or that was walked for
+    another qubit count or other gate-noise rates, raises ValueError;
+    readout noise may differ.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

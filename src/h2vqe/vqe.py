@@ -5,6 +5,13 @@ interpreting the bundled reference tuples is resolved empirically by
 :func:`resolve_bit_order`: exactly one choice reproduces -1.8422 Ha from
 reference set A, and that winner (Q0_LEFTMOST) is also the order used for
 every serialized counts artifact.
+
+:class:`EnergyEvaluator` draws each measurement group's counts from that
+group's circuit, the ansatz followed by its H gates. Under active gate noise,
+or above DENSE_ANSATZ_QUBITS qubits, the sim walker runs the ansatz once and
+each group resumes it. Other evaluations take the group statevectors from the
+evaluator's :class:`~h2vqe.sim.DenseAnsatz`, which match the walker's to a few
+ulps; its counts equal the walker's in practice, not by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fields
-from .ansatz import AnsatzSpec, build_circuit, parameter_count
+from .ansatz import AnsatzSpec, _layout, build_circuit, parameter_count
 from .optim import (
     OptimizationAbort,
     OptimizerConfig,
@@ -25,6 +32,7 @@ from .optim import (
 )
 from .pauli import (
     DENSE_QUBIT_CAP,
+    STATEVECTOR_QUBIT_CAP,
     Hamiltonian,
     MeasurementGroup,
     PauliTerm,
@@ -34,10 +42,13 @@ from .pauli import (
     load_hamiltonian,
 )
 from .sim import (
+    DENSE_ANSATZ_QUBITS,
     BitOrder,
     CountsVector,
+    DenseAnsatz,
     NoiseModel,
     apply_circuit,
+    finished_walk,
     pcg64_seed_states,
     post_rotations,
     run_noisy,
@@ -224,6 +235,11 @@ class VqeConfig:
 
     def __post_init__(self) -> None:
         fields.validate(self)
+        if self.ansatz.n_qubits > STATEVECTOR_QUBIT_CAP:
+            raise ValueError(
+                f"the statevector is limited to {STATEVECTOR_QUBIT_CAP} qubits, "
+                f"got a {self.ansatz.n_qubits}-qubit ansatz"
+            )
         if self.noise.gate_active and self.ansatz.n_qubits > DENSE_QUBIT_CAP:
             # the gate-noise density matrix holds 4^n complex entries
             raise ValueError(
@@ -264,6 +280,10 @@ class EnergyEvaluator:
         self.noise = noise
         self.groups, self.identity = group_terms(hamiltonian)
         self._post_rotations = [post_rotations(g) for g in self.groups]
+        self._dense = None  # the statevector walk as layer maps, on small registers
+        if not noise.gate_active and ansatz.n_qubits <= DENSE_ANSATZ_QUBITS:
+            self._dense = DenseAnsatz(_layout(ansatz), ansatz.n_qubits,
+                                      self._post_rotations)
         self._estimator = _Estimator(
             self.groups, self.identity, hamiltonian.n_qubits
         )
@@ -300,22 +320,32 @@ class EnergyEvaluator:
     def evaluate(self, params, seed) -> EnergyEstimate:
         """Sampled energy estimate; deterministic in (params, seed).
 
-        The ansatz is walked once; each group resumes that walk with its own
-        post-rotations, drawing the counts a full walk of ``circuit.concat(rotation)``
-        would. Group g draws the same stream as ``default_rng([*seed, g])``, from
-        one Generator set to its start, derived in blocks (:meth:`_group_states`).
+        ``build_circuit`` makes (and checks) the ansatz circuit. Without
+        gate noise, on at most DENSE_ANSATZ_QUBITS qubits, the statevector of
+        every group's circuit ``circuit.concat(rotation)`` comes from the
+        evaluator's :class:`~h2vqe.sim.DenseAnsatz`, and ``run_noisy`` gets it
+        as a finished walk, so it only samples; its probabilities match the
+        walker's to a few ulps. Otherwise the ansatz is walked once and each
+        group resumes that walk with its own post-rotations, drawing the
+        counts a full walk of ``circuit.concat(rotation)`` would. Group g
+        draws the same stream as ``default_rng([*seed, g])``, from one
+        Generator set to its start, derived in blocks (:meth:`_group_states`).
         """
         circuit = build_circuit(self.ansatz, params)
-        checkpoint = walk_prefix(circuit, self.noise)
+        group_circuits = [circuit.concat(rotation) for rotation in self._post_rotations]
+        if self._dense is None:
+            prefixes = [walk_prefix(circuit, self.noise)] * len(group_circuits)
+        else:
+            prefixes = map(finished_walk, group_circuits, self._dense.amplitudes(params))
         states = self._group_states(seed_words(seed))
         self._rng = self._rng or np.random.default_rng()
         counts = []
-        for (state, inc), rotation in zip(states, self._post_rotations):
+        for (state, inc), group_circuit, prefix in zip(states, group_circuits, prefixes):
             self._rng.bit_generator.state = {
                 "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                 "has_uint32": 0, "uinteger": 0}
-            counts.append(run_noisy(circuit.concat(rotation), self.shots, self._rng,
-                                    self.noise, prefix=checkpoint))
+            counts.append(run_noisy(group_circuit, self.shots, self._rng,
+                                    self.noise, prefix=prefix))
         return self._estimator.estimate(tuple(counts), BitOrder.Q0_RIGHTMOST)
 
     def evaluate_analytic(self, params) -> float:

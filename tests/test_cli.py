@@ -179,6 +179,26 @@ class TestRun:
         assert "3 readout pairs for 4 qubits" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "result.json")
 
+    def test_statevector_over_qubit_cap_exit_2(self, tmp_path, capsys):
+        """A 48-qubit statevector would need petabytes; it is refused at load."""
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(
+            Hamiltonian(48, (PauliTerm(0.5, PauliString.from_label("Z" * 48)),)), ham
+        )
+        doc = small_vqe_config(
+            hamiltonian=ham,
+            ansatz={"form": "ry", "entanglement": "linear", "reps": 2,
+                    "n_qubits": 48},
+        )
+        path = write_json(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert "statevector is limited to 20 qubits" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "result.json")
+        batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
+        assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
+        assert "statevector is limited to 20 qubits" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs.csv")
+
     @pytest.mark.parametrize("overrides, named", [
         ({"ansatz": 3}, "ansatz"),
         ({"optimizer": {"spsa_a": "x"}}, "spsa_a"),
@@ -646,6 +666,24 @@ class TestSimilarityCommand:
         _, rows = read_csv_rows(str(sim_out / "similarity.csv"))
         assert len(rows) == 4  # 2 runs x 2 groups
         assert all(r[0] != "" and r[3] != "" for r in rows)
+
+    def test_batch_dir_after_smaller_batch_in_same_out_dir(self, tmp_path):
+        """A second batch into the same directory replaces the first one's
+        counts files and leaves every other file there."""
+        out = tmp_path / "batch"
+        for n_runs in (3, 1):
+            path = write_json(tmp_path / "b.json", batch_config(n_runs=n_runs))
+            assert main(["batch", "--config", path, "--out-dir", str(out),
+                         "--no-timestamp"]) == 0
+            if n_runs == 3:
+                (out / "counts" / "notes.txt").write_text("kept")
+        assert sorted(os.listdir(out / "counts")) == [
+            "notes.txt", "run0000_g0.json", "run0000_g1.json"]
+        sim_out = tmp_path / "sim"
+        assert main(["similarity", "--batch-dir", str(out),
+                     "--out-dir", str(sim_out), "--no-timestamp"]) == 0
+        _, rows = read_csv_rows(str(sim_out / "similarity.csv"))
+        assert len(rows) == 2
 
     def test_batch_dir_rows_match_batch_table(self, tmp_path):
         """The batch writes its rows group by group, the similarity command

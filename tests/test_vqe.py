@@ -18,13 +18,23 @@ from h2vqe.ansatz import AnsatzSpec, Circuit
 from h2vqe.optim import OptimizerConfig
 from h2vqe.pauli import (
     DENSE_QUBIT_CAP,
+    STATEVECTOR_QUBIT_CAP,
+    Hamiltonian,
     PauliString,
     PauliTerm,
     group_terms,
     h2_4qubit,
 )
 from h2vqe.ansatz import build_circuit
-from h2vqe.sim import CountsVector, NoiseModel, post_rotations, run_noisy
+from h2vqe.sim import (
+    DENSE_ANSATZ_QUBITS,
+    CountsVector,
+    NoiseModel,
+    _resume,
+    _walk_from_zero,
+    post_rotations,
+    run_noisy,
+)
 from h2vqe.vqe import (
     BitOrder,
     EnergyEvaluator,
@@ -434,6 +444,11 @@ class TestVqeConfig:
             noise=NoiseModel(gate_enabled=True),
         )
 
+    def test_statevector_qubit_cap(self):
+        with pytest.raises(ValueError, match="statevector is limited to 20 qubits"):
+            VqeConfig(ansatz=AnsatzSpec(n_qubits=STATEVECTOR_QUBIT_CAP + 1))
+        VqeConfig(ansatz=AnsatzSpec(n_qubits=STATEVECTOR_QUBIT_CAP))
+
     def test_per_qubit_readout_length(self):
         three = ((0.1, 0.0), (0.0, 0.2), (0.05, 0.05))
         with pytest.raises(ValueError, match="3 readout pairs for 4 qubits"):
@@ -665,3 +680,76 @@ def test_analytic_evaluation_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def mixed_hamiltonian(n):
+    """A Hamiltonian on n qubits with an all-Z, an all-X and an alternating group."""
+    labels = ["Z" * n, "X" * n, ("XZ" * n)[:n], "I" * (n - 1) + "X"]
+    return Hamiltonian(n, tuple(PauliTerm(0.1 * (i + 1), PauliString.from_label(lab))
+                                for i, lab in enumerate(labels)))
+
+
+class TestDenseAnsatz:
+    """Statevector evaluations on small registers take the dense layer maps."""
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(readout_enabled=True)],
+                             ids=["ideal", "readout"])
+    @pytest.mark.parametrize("entanglement", ["linear", "circular", "full"])
+    @pytest.mark.parametrize("form", ["ry", "ryrz"])
+    def test_group_probabilities_match_walker(self, monkeypatch, form, entanglement,
+                                              noise):
+        seen = []
+
+        def recorded(circuit, shots, seed, noise, prefix):
+            seen.append((circuit, _resume(prefix, circuit, noise)))
+            return run_noisy(circuit, shots, seed, noise, prefix=prefix)
+
+        monkeypatch.setattr(vqe_mod, "run_noisy", recorded)
+        rng = np.random.default_rng(11)
+        for n in range(2, DENSE_ANSATZ_QUBITS + 2):
+            spec = AnsatzSpec(form=form, entanglement=entanglement, n_qubits=n)
+            evaluator = EnergyEvaluator(mixed_hamiltonian(n), spec, 64, noise)
+            assert (evaluator._dense is None) == (n > DENSE_ANSATZ_QUBITS)
+            params = rng.uniform(-math.pi, math.pi, evaluator.parameter_count())
+            seen.clear()
+            evaluator.evaluate(params, [3, n])
+            circuit = build_circuit(spec, params)
+            assert len(seen) == len(evaluator.groups) == 3
+            for group, (group_circuit, state) in zip(evaluator.groups, seen):
+                assert group_circuit == circuit.concat(post_rotations(group))
+                walked = _walk_from_zero(group_circuit, 2)
+                np.testing.assert_allclose(np.abs(state) ** 2, np.abs(walked) ** 2,
+                                           rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("ham, spec, noise", [
+        ("4q", AnsatzSpec(), NoiseModel()),
+        ("4q", AnsatzSpec(form="ryrz", entanglement="full"), NoiseModel()),
+        ("2q", AnsatzSpec(n_qubits=2), NoiseModel(readout_enabled=True)),
+        ("4q", AnsatzSpec(entanglement="circular"), NoiseModel(readout_enabled=True)),
+    ], ids=["ideal-4q", "ideal-4q-ryrz-full", "readout-2q", "readout-4q-circular"])
+    def test_counts_equal_walker_draws(self, ham, spec, noise):
+        cfg = VqeConfig(hamiltonian=ham, ansatz=spec, shots=1024, noise=noise)
+        evaluator = EnergyEvaluator.from_config(cfg)
+        assert evaluator._dense is not None
+        rng = np.random.default_rng(5)
+        for i in range(200):
+            params = rng.uniform(-math.pi, math.pi, evaluator.parameter_count())
+            seed = [41, 1, i]
+            assert (evaluator.evaluate(params, seed).group_counts
+                    == group_reference(evaluator, params, seed)), i
+
+    @pytest.mark.parametrize("ham, n, noise", [
+        (None, DENSE_ANSATZ_QUBITS + 1, NoiseModel()),
+        (None, DENSE_ANSATZ_QUBITS + 1, NoiseModel(readout_enabled=True)),
+        ("4q", 4, NoiseModel(gate_enabled=True)),
+        ("2q", 2, NoiseModel(gate_enabled=True, readout_enabled=True)),
+    ], ids=["above-limit", "above-limit-readout", "gate-4q", "gate+readout-2q"])
+    def test_walker_evaluators_never_build_it(self, monkeypatch, ham, n, noise):
+        def refused(*args):
+            raise AssertionError("dense form built")
+
+        monkeypatch.setattr(vqe_mod, "DenseAnsatz", refused)
+        h = mixed_hamiltonian(n) if ham is None else vqe_mod.get_hamiltonian(ham)
+        evaluator = EnergyEvaluator(h, AnsatzSpec(n_qubits=n), 64, noise)
+        assert evaluator._dense is None
+        evaluator.evaluate(np.linspace(-1, 1, evaluator.parameter_count()), [2])
