@@ -22,7 +22,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fields, fixtures
-from .pauli import Hamiltonian, MeasurementGroup, eigenvalues, group_terms, to_dense
+from .pauli import (
+    Hamiltonian,
+    MeasurementGroup,
+    check_measurable,
+    eigenvalues,
+    group_terms,
+    to_dense,
+)
 from .sim import BitOrder, CountsVector, counts_to_dict, load_counts, save_counts
 from .similarity import batch_average_similarity, classify_energy
 from .vqe import (
@@ -271,16 +278,20 @@ def write_svg_scatter(
 # ------------------------------------------------------------ subcommands --
 
 
-def _load_hamiltonian(selector: str) -> Hamiltonian:
-    """The Hamiltonian ``selector`` names; one that cannot be loaded is exit 2."""
+def _load_hamiltonian(selector: str, measured: bool = True) -> Hamiltonian:
+    """The Hamiltonian ``selector`` names; one that cannot be loaded is exit 2,
+    as is one with Y terms that is to be ``measured``."""
     try:
-        return get_hamiltonian(selector)
+        h = get_hamiltonian(selector)
+        if measured:
+            check_measurable(h)
+        return h
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load Hamiltonian {selector!r}: {exc}") from exc
 
 
 def cmd_eigen(args) -> int:
-    h = _load_hamiltonian(args.ham)
+    h = _load_hamiltonian(args.ham, measured=False)
     try:
         dense = to_dense(h)
     except ValueError as exc:  # over the dense-matrix cap

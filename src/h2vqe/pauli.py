@@ -152,15 +152,18 @@ def save_hamiltonian(h: Hamiltonian, path: str) -> None:
 
 
 def load_hamiltonian(path: str) -> Hamiltonian:
-    """Read a Hamiltonian file; Y terms are rejected, having no measurement basis."""
+    """Read a Hamiltonian file, Y terms and all."""
     with open(path) as fh:
-        h = Hamiltonian.from_dict(json.load(fh))
+        return Hamiltonian.from_dict(json.load(fh))
+
+
+def check_measurable(h: Hamiltonian) -> None:
+    """ValueError naming ``h``'s Y terms, which have no measurement basis."""
     y_terms = [t.string.to_label() for t in h.terms if "Y" in t.string.labels]
     if y_terms:
         raise ValueError(
             f"terms {y_terms} need a Y measurement basis; only X and Z are supported"
         )
-    return h
 
 
 @dataclass(frozen=True)

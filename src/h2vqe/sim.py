@@ -27,22 +27,21 @@ on its own qubit. A CX is a cached gather of the entries. The walk starts
 in float64 and turns complex at the first rz, so an ry ansatz with H
 post-rotations never does complex arithmetic.
 
-The walk is an advance (:func:`_advance`), which leaves every qubit's
-fused maps pending, then a flush (:func:`_flush`) of those maps in their
-insertion order. :func:`walk_prefix` stops after the advance and returns a
-read-only :class:`WalkCheckpoint`; ``run_noisy(..., prefix=checkpoint)``
-walks only the gates after the checkpoint's, into a copy of its pending
-maps, then flushes. That is the arithmetic of a full walk, so its counts
-are bit-identical, and one checkpoint of an ansatz serves every
-measurement group's post-rotations.
+An evaluation's G measurement groups share one ansatz: :func:`walk_groups`
+walks it once, flushed, then walks each group's H tail from that array,
+and ``run_noisy(..., state=)`` samples a state so computed. The tail's maps
+are not fused into the ansatz's last pending maps, as a walk of the whole
+circuit would fuse them, so the state matches a full walk's to a few ulps,
+not bit for bit. In exact arithmetic the two are equal, on rho too: D(f)
+commutes with every unitary on its own qubit, and D(a) D(b) = D(ab).
+Without ``state``, ``run_noisy`` walks the whole circuit itself.
 
 Statevectors on at most DENSE_ANSATZ_QUBITS qubits have a second form,
 :class:`DenseAnsatz`: an ansatz's rotation layers as 2^n x 2^n Kronecker
 products, its entangling layers as composed gathers and every group's H
-tail in one stacked matrix, applied by matrix-vector products. It rounds
-differently from the walker, so its probabilities match the walker's to a
-few ulps rather than bit for bit. :func:`finished_walk` hands such a
-statevector to ``run_noisy`` as a checkpoint with nothing left to walk.
+tail in one stacked matrix, applied by matrix-vector products. It too
+rounds differently from a full walk, matching its probabilities to a few
+ulps rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -151,16 +150,16 @@ def _apply_pending(r: np.ndarray, q: int, m, f: float, n: int, k: int) -> np.nda
     return r if m is None else _on_axis(m, r, q, n, k)
 
 
-def _advance(r: np.ndarray, pending: dict, gates, n: int, k: int, f1=1.0, f2=1.0):
-    """Apply ``gates`` to ``r``, leaving each qubit's one-qubit maps in ``pending``.
+def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
+    """Apply ``gates`` to ``r`` and flush every qubit's pending maps.
 
     ``r``'s first axis holds k^n entries: k = 2 walks a statevector (any
     trailing axes ride along), k = 4 the interleaved rho. ``pending`` maps
     qubit -> (product of its gate maps since its last flush, None before
-    the first; product of f1 per one-qubit gate and f2 per CX) and is
-    updated in place; its insertion order is the order :func:`_flush`
-    takes. ``r`` itself is never written to.
+    the first; product of f1 per one-qubit gate and f2 per CX), and the
+    final flush takes it in insertion order. ``r`` itself is never written to.
     """
+    pending: dict = {}
     cx_gather = _cx_permutation if k == 2 else _cx_layout_permutation
     for gate in gates:
         if gate.name == "cx":
@@ -175,20 +174,9 @@ def _advance(r: np.ndarray, pending: dict, gates, n: int, k: int, f1=1.0, f2=1.0
             m, f = pending.get(q, (None, 1.0))
             u = _gate_map(gate, k)
             pending[q] = (u if m is None else u @ m, f * f1)
-    return r
-
-
-def _flush(r: np.ndarray, pending: dict, n: int, k: int) -> np.ndarray:
-    """Apply every pending map to ``r``, in ``pending``'s insertion order."""
     for q, (m, f) in pending.items():
         r = _apply_pending(r, q, m, f, n, k)
     return r
-
-
-def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
-    """Apply ``gates`` to ``r`` and flush: :func:`_advance`, then :func:`_flush`."""
-    pending: dict = {}
-    return _flush(_advance(r, pending, gates, n, k, f1, f2), pending, n, k)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
@@ -550,65 +538,31 @@ def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     return rho[_interleaved_index(circuit.n_qubits)].astype(complex, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class WalkCheckpoint:
-    """A walk of ``gates`` from |0...0> stopped before its final flush.
-
-    ``k`` is the axis width (2 for the statevector, 4 for rho under active
-    gate noise) and f1, f2 the depolarizing factors of that walk. ``r`` is
-    the unflushed array, read-only, and ``pending`` the (qubit, (map, f))
-    items still to flush, in insertion order. A resume copies ``pending``
-    and leaves the checkpoint as it was, so one serves any number of tails.
-    """
-
-    gates: tuple[Gate, ...]
-    n_qubits: int
-    k: int
-    f1: float
-    f2: float
-    r: np.ndarray
-    pending: tuple
-
-
 def _walk_setting(noise: NoiseModel) -> tuple[int, float, float]:
     """(k, f1, f2): rho when gate noise is active, else the statevector."""
     return (4, *_depolarizing_factors(noise)) if noise.gate_active else (2, 1.0, 1.0)
 
 
-def walk_prefix(circuit: Circuit, noise: NoiseModel) -> WalkCheckpoint:
-    """Walk ``circuit`` from |0...0> as :func:`run_noisy` would, minus the flush."""
+def walk_groups(circuit: Circuit, tails, noise: NoiseModel) -> list[np.ndarray]:
+    """Walk ``circuit`` from |0...0> once, as :func:`run_noisy` would, then
+    each tail circuit (a group's post-rotations) from that flushed array.
+
+    Item g is the final state of ``circuit.concat(tails[g])``: the
+    statevector, or the interleaved rho under active gate noise. The tails'
+    maps are not fused into the ansatz's last pending ones, so each matches
+    a full walk of that circuit to a few ulps, not bit for bit.
+    """
     n, (k, f1, f2) = circuit.n_qubits, _walk_setting(noise)
-    pending: dict = {}
-    r = _frozen(_advance(_zero(n, k), pending, circuit.gates, n, k, f1, f2))
-    return WalkCheckpoint(circuit.gates, n, k, f1, f2, r, tuple(pending.items()))
-
-
-def _resume(cp: WalkCheckpoint, circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """The flushed walk of ``circuit``, its first gates taken from checkpoint ``cp``."""
-    start = len(cp.gates)
-    if circuit.n_qubits != cp.n_qubits:
-        raise ValueError(
-            f"checkpoint of {cp.n_qubits} qubits for a {circuit.n_qubits}-qubit circuit"
-        )
-    if (cp.k, cp.f1, cp.f2) != _walk_setting(noise):
-        raise ValueError("checkpoint was walked under other gate-noise rates")
-    if circuit.gates[:start] != cp.gates:
-        raise ValueError("checkpoint gates are not a prefix of the circuit")
-    pending = dict(cp.pending)
-    r = _advance(cp.r, pending, circuit.gates[start:], cp.n_qubits, cp.k, cp.f1, cp.f2)
-    return _flush(r, pending, cp.n_qubits, cp.k)
-
-
-def finished_walk(circuit: Circuit, state: np.ndarray) -> WalkCheckpoint:
-    """A checkpoint of all of ``circuit`` with nothing pending, at ``state``,
-    its final statevector as computed elsewhere (say by :class:`DenseAnsatz`).
-    ``run_noisy(circuit, ..., prefix=)`` then only samples it."""
-    return WalkCheckpoint(circuit.gates, circuit.n_qubits, 2, 1.0, 1.0, state, ())
+    if any(tail.n_qubits != n for tail in tails):
+        raise ValueError(f"tails must act on the circuit's {n} qubits")
+    r = _walk_from_zero(circuit, k, f1, f2)
+    return [_walk(r, tail.gates, n, k, f1, f2) for tail in tails]
 
 
 # Largest register an evaluator walks as a DenseAnsatz. On 2 vCPUs, against
-# walk_prefix plus one resume per group, its layer maps (2^n x 2^n each) were
-# about 3-5x faster on 2 to 5 qubits, level at 6 and 4x slower at 7.
+# the walker (the ansatz walked once, then each group's tail), its layer maps
+# (2^n x 2^n each) were about 3-5x faster on 2 to 5 qubits, level at 6 and
+# 4x slower at 7.
 DENSE_ANSATZ_QUBITS = 5
 
 # Ry entries [[c, -s], [s, c]] and Rz's row phases c -/+ is, as slots of the
@@ -672,7 +626,7 @@ def run_noisy(
     shots: int,
     seed,
     noise: NoiseModel,
-    prefix: WalkCheckpoint | None = None,
+    state: np.ndarray | None = None,
 ) -> CountsVector:
     """Shot-sampled circuit execution under the given noise model.
 
@@ -685,27 +639,28 @@ def run_noisy(
     this returns the counts of ``sample_counts(statevector(circuit), ...)``
     for the same seed.
 
-    ``prefix``, from :func:`walk_prefix`, resumes a walk of the circuit's
-    first gates: only the rest are walked, into a copy of its pending maps,
-    and the flush then runs in the order a full walk would take. So the
-    counts are bit-identical to a call without it. A ``prefix`` from
-    :func:`finished_walk` covers every gate, so only sampling is left. A
-    ``prefix`` whose gates do not begin the circuit, or that was walked for
-    another qubit count or other gate-noise rates, raises ValueError;
-    readout noise may differ.
+    ``state``, if given, is the circuit's final state as computed elsewhere
+    (by :func:`walk_groups` or :class:`DenseAnsatz`): the statevector, or
+    the interleaved rho under active gate noise. It is sampled in place of
+    a walk of the circuit. A ``state`` of any shape but (k^n,), k = 4 under
+    active gate noise and 2 otherwise, raises ValueError. Without ``state``
+    the whole circuit is walked here; ``TestWalker::test_pinned_counts`` in
+    tests/test_sim.py pins the counts of that path.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if prefix is None:
-        prefix = walk_prefix(circuit, noise)
-    r = _resume(prefix, circuit, noise)
-    if prefix.k == 4:
-        diagonal = _interleaved_index(circuit.n_qubits).diagonal()
+    n, (k, f1, f2) = circuit.n_qubits, _walk_setting(noise)
+    if state is None:
+        state = _walk_from_zero(circuit, k, f1, f2)
+    elif np.shape(state) != (k**n,):
+        raise ValueError(f"a state of shape {np.shape(state)} for {k}^{n} entries")
+    if k == 4:
+        diagonal = _interleaved_index(n).diagonal()
         # rounding can leave diagonal entries a hair below zero
-        probs = np.maximum(r[diagonal].real, 0.0)
+        probs = np.maximum(state[diagonal].real, 0.0)
     else:
-        probs = np.abs(r) ** 2
-    return _sample(probs, shots, seed, noise, circuit.n_qubits)
+        probs = np.abs(state) ** 2
+    return _sample(probs, shots, seed, noise, n)
 
 
 def counts_to_dict(

@@ -8,10 +8,11 @@ every serialized counts artifact.
 
 :class:`EnergyEvaluator` draws each measurement group's counts from that
 group's circuit, the ansatz followed by its H gates. Under active gate noise,
-or above DENSE_ANSATZ_QUBITS qubits, the sim walker runs the ansatz once and
-each group resumes it. Other evaluations take the group statevectors from the
-evaluator's :class:`~h2vqe.sim.DenseAnsatz`, which match the walker's to a few
-ulps; its counts equal the walker's in practice, not by construction.
+or above DENSE_ANSATZ_QUBITS qubits, :func:`~h2vqe.sim.walk_groups` walks the
+ansatz once and each group's H gates from it. Other evaluations take the group
+statevectors from the evaluator's :class:`~h2vqe.sim.DenseAnsatz`. Either way
+the group states match a full walk of each group's circuit to a few ulps, so
+the counts equal a full walk's in practice, not by construction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .pauli import (
     Hamiltonian,
     MeasurementGroup,
     PauliTerm,
+    check_measurable,
     group_terms,
     h2_2qubit,
     h2_4qubit,
@@ -48,14 +50,13 @@ from .sim import (
     DenseAnsatz,
     NoiseModel,
     apply_circuit,
-    finished_walk,
     pcg64_seed_states,
     post_rotations,
     run_noisy,
     seed_entries,
     seed_words,
     statevector,
-    walk_prefix,
+    walk_groups,
 )
 from .similarity import BAND_ERRONEOUS, classify_energy
 
@@ -274,6 +275,7 @@ class EnergyEvaluator:
     ):
         if ansatz.n_qubits != hamiltonian.n_qubits:
             raise ValueError("ansatz and Hamiltonian disagree on qubit count")
+        check_measurable(hamiltonian)
         self.hamiltonian = hamiltonian
         self.ansatz = ansatz
         self.shots = shots
@@ -320,32 +322,31 @@ class EnergyEvaluator:
     def evaluate(self, params, seed) -> EnergyEstimate:
         """Sampled energy estimate; deterministic in (params, seed).
 
-        ``build_circuit`` makes (and checks) the ansatz circuit. Without
-        gate noise, on at most DENSE_ANSATZ_QUBITS qubits, the statevector of
-        every group's circuit ``circuit.concat(rotation)`` comes from the
-        evaluator's :class:`~h2vqe.sim.DenseAnsatz`, and ``run_noisy`` gets it
-        as a finished walk, so it only samples; its probabilities match the
-        walker's to a few ulps. Otherwise the ansatz is walked once and each
-        group resumes that walk with its own post-rotations, drawing the
-        counts a full walk of ``circuit.concat(rotation)`` would. Group g
-        draws the same stream as ``default_rng([*seed, g])``, from one
-        Generator set to its start, derived in blocks (:meth:`_group_states`).
+        ``build_circuit`` makes (and checks) the ansatz circuit. The final
+        state of every group's circuit ``circuit.concat(rotation)`` comes from
+        the evaluator's :class:`~h2vqe.sim.DenseAnsatz` (no gate noise, at most
+        DENSE_ANSATZ_QUBITS qubits) or else from :func:`~h2vqe.sim.walk_groups`,
+        and ``run_noisy`` samples it. Those states match a full walk of the
+        group's circuit to a few ulps, so the counts equal that walk's in
+        practice. Group g draws the same stream as ``default_rng([*seed, g])``,
+        from one Generator set to its start, derived in blocks
+        (:meth:`_group_states`).
         """
         circuit = build_circuit(self.ansatz, params)
         group_circuits = [circuit.concat(rotation) for rotation in self._post_rotations]
         if self._dense is None:
-            prefixes = [walk_prefix(circuit, self.noise)] * len(group_circuits)
+            finals = walk_groups(circuit, self._post_rotations, self.noise)
         else:
-            prefixes = map(finished_walk, group_circuits, self._dense.amplitudes(params))
+            finals = self._dense.amplitudes(params)
         states = self._group_states(seed_words(seed))
         self._rng = self._rng or np.random.default_rng()
         counts = []
-        for (state, inc), group_circuit, prefix in zip(states, group_circuits, prefixes):
+        for (state, inc), group_circuit, final in zip(states, group_circuits, finals):
             self._rng.bit_generator.state = {
                 "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                 "has_uint32": 0, "uinteger": 0}
             counts.append(run_noisy(group_circuit, self.shots, self._rng,
-                                    self.noise, prefix=prefix))
+                                    self.noise, state=final))
         return self._estimator.estimate(tuple(counts), BitOrder.Q0_RIGHTMOST)
 
     def evaluate_analytic(self, params) -> float:

@@ -24,6 +24,7 @@ from h2vqe.pauli import (
     group_terms,
     h2_4qubit,
     save_hamiltonian,
+    to_dense,
 )
 from h2vqe.sim import counts_to_dict, save_counts
 
@@ -97,6 +98,18 @@ class TestEigen:
         ham = write_json(tmp_path / "h.json", doc)
         assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_y_terms_diagonalized(self, tmp_path, capsys):
+        labels = {"XYZ": 0.3, "IYY": -0.5, "YXI": 0.25, "ZZI": 0.7, "III": -1.1}
+        h = Hamiltonian(3, tuple(PauliTerm(c, PauliString.from_label(lab))
+                                 for lab, c in labels.items()))
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(h, ham)
+        assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 8
+        values = json.load(open(tmp_path / "eigenvalues.json"))["eigenvalues"]
+        reference = np.linalg.eigvalsh(to_dense(h))
+        assert np.abs(np.array(values) - reference).max() <= 1e-9
 
     def test_over_dense_cap_exit_2(self, tmp_path, capsys):
         ham = str(tmp_path / "h.json")
@@ -244,6 +257,14 @@ class TestRun:
         batch = write_json(tmp_path / "b.json", {"vqe": doc, "n_runs": 1})
         assert main(["batch", "--config", batch, "--out-dir", str(tmp_path)]) == 2
         assert not os.path.exists(tmp_path / "runs.csv")
+
+    def test_y_term_hamiltonian_energy_from_counts_exit_2(self, tmp_path, capsys):
+        terms = h2_4qubit().terms + (PauliTerm(0.1, PauliString.from_label("IIYY")),)
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(Hamiltonian(4, terms), ham)
+        argv = ["energy-from-counts", "--ham", ham, "--fixtures", "setA"]
+        assert main(argv) == 2
+        assert "IIYY" in capsys.readouterr().err
 
     def test_rerun_from_result_config(self, tmp_path):
         cfg = small_vqe_config(noise={"readout_errors": True}, seed=12)

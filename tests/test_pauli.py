@@ -10,6 +10,7 @@ from h2vqe.pauli import (
     Hamiltonian,
     PauliString,
     PauliTerm,
+    check_measurable,
     eigenvalues,
     group_terms,
     h2_2qubit,
@@ -246,6 +247,16 @@ class TestSerialization:
         save_hamiltonian(h, path)
         loaded = load_hamiltonian(path)
         assert loaded == h
+
+    def test_y_terms_load_but_are_not_measurable(self, tmp_path):
+        h = Hamiltonian(2, (PauliTerm(0.5, PauliString.from_label("ZZ")),
+                            PauliTerm(0.2, PauliString.from_label("XY"))))
+        path = str(tmp_path / "h.json")
+        save_hamiltonian(h, path)
+        assert load_hamiltonian(path) == h
+        with pytest.raises(ValueError, match="XY"):
+            check_measurable(h)
+        check_measurable(h2_4qubit())
 
     def test_dict_layout(self):
         doc = h2_2qubit().to_dict()

@@ -15,7 +15,6 @@ from h2vqe.sim import (
     _confusion_maps,
     _cx_permutation,
     _gate_map,
-    _resume,
     _superop,
     _walk_from_zero,
     _walk_setting,
@@ -34,7 +33,7 @@ from h2vqe.sim import (
     seed_entries,
     seed_words,
     statevector,
-    walk_prefix,
+    walk_groups,
     zero_state,
 )
 
@@ -479,8 +478,8 @@ PINNED_ARMS = {
         gate_enabled=True, readout_enabled=True, p1=0.01, p2=0.03
     )),
 }
-# noise arms of the checkpoint tests: each walk kind, with and without readout
-CHECKPOINT_ARMS = {
+# noise arms of the group-walk tests: each walk kind, with and without readout
+WALK_ARMS = {
     "ideal": NoiseModel(),
     "readout": NoiseModel(readout_enabled=True, readout=(0.03, 0.01)),
     "gate": NoiseModel(gate_enabled=True, p1=0.01, p2=0.03),
@@ -555,64 +554,66 @@ class TestWalker:
         cv = run_noisy(circ, 4096, seed, noise)
         assert cv.counts == PINNED_COUNTS[form, ent, arm]
 
-    @pytest.mark.parametrize("arm", list(CHECKPOINT_ARMS))
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("arm", list(WALK_ARMS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_resumed_walk_matches_fresh(self, n, arm):
-        noise = CHECKPOINT_ARMS[arm]
+        """Each group's walk, resumed from the flushed ansatz, matches a fresh
+        walk of the group's whole circuit, and ``run_noisy`` draws the same
+        counts from a given fresh walk as from its own."""
+        noise = WALK_ARMS[arm]
         rng = np.random.default_rng(400 + n)
         for form in ("ry", "ryrz"):
             for ent in ("linear", "circular", "full"):
                 spec = AnsatzSpec(form, ent, 2, n)
                 body = build_circuit(spec, rng.uniform(-4, 4, parameter_count(spec)))
-                checkpoint = walk_prefix(body, noise)
-                for g in range(3):  # one checkpoint, several groups
-                    circ = body.concat(random_rotation(n, rng))
+                tails = [random_rotation(n, rng) for _ in range(3)]  # one walk, 3 groups
+                walked = walk_groups(body, tails, noise)
+                for g, (tail, state) in enumerate(zip(tails, walked)):
+                    circ = body.concat(tail)
                     fresh = _walk_from_zero(circ, *_walk_setting(noise))
-                    assert np.array_equal(_resume(checkpoint, circ, noise), fresh)
+                    assert np.abs(state - fresh).max() <= 1e-13
                     seed = [n, g]
-                    resumed = run_noisy(circ, 1024, seed, noise, prefix=checkpoint)
-                    assert resumed == run_noisy(circ, 1024, seed, noise)
+                    given = run_noisy(circ, 1024, seed, noise, state=fresh)
+                    assert given == run_noisy(circ, 1024, seed, noise)
 
-    def test_checkpoint_mismatch_raises(self):
+    def test_wrong_length_state_raises(self):
         spec = AnsatzSpec("ry", "circular", 2, 3)
-        params = np.linspace(-1.0, 1.2, parameter_count(spec))
-        body = build_circuit(spec, params)
+        body = build_circuit(spec, np.linspace(-1.0, 1.2, parameter_count(spec)))
         circ = body.concat(post_rotations(MeasurementGroup(0, ("X", "Z", "X"), ())))
-        ideal, gate = NoiseModel(), CHECKPOINT_ARMS["gate"]
+        ideal, gate = NoiseModel(), WALK_ARMS["gate"]
+        psi, rho = _walk_from_zero(circ, 2), _walk_from_zero(circ, 4)
         wrong = [
-            (walk_prefix(build_circuit(spec, params + 0.1), ideal), circ, ideal),
-            (walk_prefix(circ, ideal), body, ideal),  # checkpoint past the end
-            (walk_prefix(build_circuit(AnsatzSpec(n_qubits=4), np.zeros(12)), ideal),
-             circ, ideal),
-            (walk_prefix(body, ideal), circ, gate),
-            (walk_prefix(body, gate), circ, ideal),
-            (walk_prefix(body, gate), circ, NoiseModel(gate_enabled=True, p1=0.02)),
+            (psi[:4], ideal),
+            (np.zeros(16), ideal),  # a 4-qubit statevector
+            (psi[:, None], ideal),  # the right entries, not flat
+            (rho, ideal),
+            (rho, WALK_ARMS["readout"]),
+            (psi, gate),  # a statevector under active gate noise
+            (psi, WALK_ARMS["gate+readout"]),
         ]
-        for checkpoint, circuit, noise in wrong:
+        for state, noise in wrong:
             with pytest.raises(ValueError):
-                run_noisy(circuit, 64, 0, noise, prefix=checkpoint)
-        # readout noise is applied after the walk, so it may differ
-        readout = NoiseModel(readout_enabled=True)
-        run_noisy(circ, 64, 0, readout, prefix=walk_prefix(body, ideal))
+                run_noisy(circ, 64, 0, noise, state=state)
+        with pytest.raises(ValueError):  # a tail on another register
+            walk_groups(body, [post_rotations(MeasurementGroup(0, ("X",) * 4, ()))],
+                        ideal)
+        # inert gate noise walks the statevector
+        run_noisy(circ, 64, 0, NoiseModel(gate_enabled=True, p1=0.0, p2=0.0), state=psi)
 
-    def test_checkpoint_read_only_and_unchanged(self):
-        noise = CHECKPOINT_ARMS["gate+readout"]
+    def test_given_state_read_only_and_unchanged(self):
         spec = AnsatzSpec("ryrz", "circular", 2, 3)
         body = build_circuit(spec, np.linspace(-1.3, 1.1, parameter_count(spec)))
-        checkpoint = walk_prefix(body, noise)
-        r = checkpoint.r.copy()
-        pending = [(q, None if m is None else m.copy(), f)
-                   for q, (m, f) in checkpoint.pending]
-        with pytest.raises(ValueError):
-            checkpoint.r[0] = 1.0
-        for basis in (("X", "X", "X"), ("Z", "Z", "Z"), ("X", "Z", "X")):
-            rotation = post_rotations(MeasurementGroup(0, basis, ()))
-            run_noisy(body.concat(rotation), 64, 0, noise, prefix=checkpoint)
-        assert np.array_equal(checkpoint.r, r)
-        assert len(checkpoint.pending) == len(pending)
-        for (q, (m, f)), (q0, m0, f0) in zip(checkpoint.pending, pending):
-            assert q == q0 and f == f0
-            assert m is m0 is None or np.array_equal(m, m0)
+        tails = [post_rotations(MeasurementGroup(0, basis, ()))
+                 for basis in (("X", "X", "X"), ("Z", "Z", "Z"), ("X", "Z", "X"))]
+        for noise in WALK_ARMS.values():
+            walked = walk_groups(body, tails, noise)
+            for g, (tail, state) in enumerate(zip(tails, walked)):
+                state.setflags(write=False)  # as DenseAnsatz hands its rows over
+                kept = state.copy()
+                circ = body.concat(tail)
+                assert (run_noisy(circ, 256, [g], noise, state=state)
+                        == run_noisy(circ, 256, [g], noise, state=kept))
+                assert np.array_equal(state, kept)
 
 
 class TestCountsVector:

@@ -30,7 +30,6 @@ from h2vqe.sim import (
     DENSE_ANSATZ_QUBITS,
     CountsVector,
     NoiseModel,
-    _resume,
     _walk_from_zero,
     post_rotations,
     run_noisy,
@@ -201,6 +200,12 @@ class TestEvaluateEnergy:
         # the coefficient sum up to nothing at all
         total = sum(t.coefficient for t in h2_4qubit().terms)
         assert est.energy == pytest.approx(total, abs=1e-12)
+
+    def test_y_terms_rejected_by_name(self):
+        h = Hamiltonian(2, (PauliTerm(0.5, PauliString.from_label("ZZ")),
+                            PauliTerm(0.2, PauliString.from_label("YX"))))
+        with pytest.raises(ValueError, match="YX"):
+            EnergyEvaluator(h, AnsatzSpec(n_qubits=2), 64, NoiseModel())
 
     def test_determinism(self):
         cfg = VqeConfig(seed=1)
@@ -700,9 +705,9 @@ class TestDenseAnsatz:
                                               noise):
         seen = []
 
-        def recorded(circuit, shots, seed, noise, prefix):
-            seen.append((circuit, _resume(prefix, circuit, noise)))
-            return run_noisy(circuit, shots, seed, noise, prefix=prefix)
+        def recorded(circuit, shots, seed, noise, state):
+            seen.append((circuit, state))
+            return run_noisy(circuit, shots, seed, noise, state=state)
 
         monkeypatch.setattr(vqe_mod, "run_noisy", recorded)
         rng = np.random.default_rng(11)
