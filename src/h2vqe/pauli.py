@@ -27,7 +27,7 @@ _SINGLE_QUBIT = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# largest n with the eigen oracle under 30 s on 2 vCPUs (8q: 9 s, 9q: 65 s)
+# largest n for a dense 2^n-square Hamiltonian or gate-noise density matrix
 DENSE_QUBIT_CAP = 8
 
 # largest ansatz a run simulates: its statevector holds 2^n floats, real or
@@ -250,67 +250,64 @@ def to_dense(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-# both tolerances are relative to the largest entry, or to 1 if that is smaller
-_JACOBI_TOL = 1e-12  # on the off-diagonal norm
-_JACOBI_MAX_SWEEPS = 60
-_HERMITICITY_TOL = 1e-10
-
-
-def _jacobi_symmetric_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(a, dtype=float)
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and squared off-diagonal moduli of Hermitian ``a``'s Householder
+    tridiagonal form, by one rank-2 update of the trailing block per column, in
+    place. The off-diagonals' phases do not change the spectrum."""
     n = a.shape[0]
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # summed directly: total minus diagonal can cancel below zero
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # rotation angle that zeroes a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                cos = 1.0 / math.sqrt(t * t + 1.0)
-                sin = t * cos
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = cos * rot_p - sin * rot_q
-                a[q, :] = sin * rot_p + cos * rot_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cos * col_p - sin * col_q
-                a[:, q] = sin * col_p + cos * col_q
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence")
-    return np.diag(a).copy()
+    e2 = np.empty(n - 1)
+    for k in range(n - 1):
+        x = a[k + 1:, k]
+        e2[k] = np.vdot(x, x).real
+        if k == n - 2 or e2[k] == 0.0:
+            continue  # a lone entry or a zero column needs no reflection
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * math.sqrt(e2[k])
+        v /= math.sqrt(np.vdot(v, v).real)
+        trailing = a[k + 1:, k + 1:]
+        p = trailing @ v
+        w = p - np.vdot(v, p).real * v
+        trailing -= 2.0 * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
+    return a.diagonal().real.copy(), e2
+
+
+def _sturm_bisect(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the real tridiagonal (d, e2), bisected all at once in the
+    Gershgorin interval: T - x has one negative pivot per eigenvalue below x
+    (Sturm), so eigenvalue j lies where the count passes j."""
+    n = d.size
+    e2_prev = np.concatenate(([0.0], e2))
+    radius = np.sqrt(e2_prev) + np.sqrt(np.concatenate((e2, [0.0])))
+    lo = np.full(n, (d - radius).min())
+    hi = np.full(n, (d + radius).max())
+    # eigenvalues may exceed every entry, so the stop is an ulp of the bounds
+    tol = 4.0 * np.spacing(max(abs(lo[0]), abs(hi[0])))
+    pivmin = np.finfo(float).tiny * max(1.0, e2.max(initial=0.0))
+    index = np.arange(n)
+    while (hi - lo).max() > tol:
+        mid = 0.5 * (lo + hi)
+        below = np.zeros(n, dtype=int)
+        q = np.ones(n)
+        for di, ei in zip(d, e2_prev):
+            q = di - mid - ei / q
+            q[q == 0.0] = -pivmin  # an exact zero pivot counts as negative
+            below += q < 0.0
+        upper = below > index
+        hi = np.where(upper, mid, hi)
+        lo = np.where(upper, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted ascending.
-
-    Complex Hermitian input is embedded as the real symmetric matrix
-    [[A, -B], [B, A]] (m = A + iB), whose spectrum is that of m with every
-    eigenvalue doubled.
-    """
+    """All eigenvalues of a Hermitian matrix, real or complex, sorted ascending:
+    Householder tridiagonalization, then Sturm bisection."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL * scale:
+    scale = max(np.abs(m).max(), 1.0)  # the largest entry, or 1 if smaller
+    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
-    a = np.real(m)
-    b = np.imag(m)
-    if np.abs(b).max() <= _HERMITICITY_TOL * scale:
-        return np.sort(_jacobi_symmetric_eigvals(a))
-    embedded = np.block([[a, -b], [b, a]])
-    doubled = np.sort(_jacobi_symmetric_eigvals(embedded))
-    return doubled[::2].copy()
+    return np.sort(_sturm_bisect(*_tridiagonalize((m + m.conj().T) / 2)))
 
 
 def group_terms(

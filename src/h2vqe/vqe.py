@@ -167,6 +167,7 @@ def energy_from_counts(
     conv: BitOrder,
 ) -> EnergyEstimate:
     """identity constant + sum of coefficient * expectation over all groups."""
+    check_measurable(h)
     counts_per_group = tuple(counts_per_group)
     if len(counts_per_group) != len(groups):
         raise ValueError(

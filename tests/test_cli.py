@@ -111,6 +111,20 @@ class TestEigen:
         reference = np.linalg.eigvalsh(to_dense(h))
         assert np.abs(np.array(values) - reference).max() <= 1e-9
 
+    def test_y_terms_at_dense_cap(self, tmp_path, capsys):
+        rng = np.random.default_rng(20)
+        labels = ["".join(rng.choice(list("IXYZ"), 8)) for _ in range(40)]
+        h = Hamiltonian(8, tuple(PauliTerm(float(c), PauliString.from_label(lab))
+                                 for lab, c in zip(labels, rng.normal(size=40))))
+        m = to_dense(h)
+        assert np.abs(m.imag).max() > 0.1  # Y terms make it complex
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(h, ham)
+        assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 256
+        values = json.load(open(tmp_path / "eigenvalues.json"))["eigenvalues"]
+        assert np.abs(np.array(values) - np.linalg.eigvalsh(m)).max() <= 1e-9
+
     def test_over_dense_cap_exit_2(self, tmp_path, capsys):
         ham = str(tmp_path / "h.json")
         save_hamiltonian(

@@ -129,6 +129,11 @@ class TestToDense:
             assert np.trace(m).real == pytest.approx(expected, abs=1e-10)
 
 
+def random_hermitian(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         assert np.allclose(eigenvalues(np.diag([1.0, -1.0])), [-1.0, 1.0])
@@ -146,7 +151,7 @@ class TestEigenvalues:
             ).max() < 1e-9
 
     def test_complex_hermitian_embedding(self):
-        # Y term forces the real-symmetric embedding path
+        # Y term makes the matrix complex Hermitian
         h = Hamiltonian(
             2,
             (
@@ -164,6 +169,18 @@ class TestEigenvalues:
         m = np.full((4, 4), 1e-9)
         np.fill_diagonal(m, [1.0, 3.0, 3.0, 0.1])
         assert np.abs(eigenvalues(m) - np.sort(np.linalg.eigvalsh(m))).max() < 1e-12
+
+    @pytest.mark.parametrize("m, tol", [
+        (np.array([[2.5]]), 1e-12),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-12),  # exact zero pivot
+        (np.zeros((4, 4)), 1e-12),  # zero Householder columns
+        (np.eye(5), 1e-12),  # degenerate spectrum
+        (np.kron(np.eye(2), [[2.0, 1.0], [1.0, 2.0]]), 1e-12),  # zero column mid-way
+        (np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]]), 1e-12),
+        (random_hermitian(256, np.random.default_rng(8)), 1e-9),  # the 8q cap
+    ], ids=["1x1", "swap", "zero", "eye5", "block", "complex2", "complex256"])
+    def test_edge_cases_match_eigvalsh(self, m, tol):
+        assert np.abs(eigenvalues(m) - np.linalg.eigvalsh(m)).max() <= tol
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

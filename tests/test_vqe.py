@@ -163,6 +163,16 @@ class TestEnergyFromCounts:
             est = self._fixture_energy(*names)
             assert abs(est.energy - self.h.identity_coefficient) <= span
 
+    def test_y_term_rejected(self):
+        # no counts can come from a Y basis, so no energy is estimated
+        h = Hamiltonian(2, (PauliTerm(0.5, PauliString.from_label("ZZ")),
+                            PauliTerm(0.2, PauliString.from_label("YX"))))
+        groups, _ = group_terms(h)
+        zeros = CountsVector((10, 0, 0, 0), 10)
+        with pytest.raises(ValueError, match="YX"):
+            energy_from_counts(h, groups, [zeros] * len(groups),
+                               BitOrder.Q0_RIGHTMOST)
+
 
 class TestResolveBitOrder:
     def test_default_fixtures(self):
