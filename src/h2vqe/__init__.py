@@ -27,7 +27,6 @@ from .sim import (
     apply_circuit,
     post_rotations,
     run_noisy,
-    sample_counts,
 )
 from .similarity import (
     EnergyBands,
@@ -42,8 +41,6 @@ from .vqe import (
     VqeConfig,
     VqeResult,
     energy_from_counts,
-    evaluate_energy,
-    pauli_expectation,
     resolve_bit_order,
     run_vqe,
 )
@@ -56,8 +53,7 @@ __all__ = [
     "MeasurementGroup", "NoiseModel", "OptimizerConfig", "PauliString",
     "PauliTerm", "Trace", "VqeConfig", "VqeResult", "apply_circuit",
     "batch_average_similarity", "build_circuit", "classify_energy",
-    "eigenvalues", "energy_from_counts", "evaluate_energy", "group_terms",
-    "h2_2qubit", "h2_4qubit", "jt_index", "minimize", "parameter_count",
-    "pauli_expectation", "post_rotations", "resolve_bit_order", "run_noisy",
-    "run_vqe", "sample_counts", "sqrt_dot", "to_dense",
+    "eigenvalues", "energy_from_counts", "group_terms", "h2_2qubit",
+    "h2_4qubit", "jt_index", "minimize", "parameter_count", "post_rotations",
+    "resolve_bit_order", "run_noisy", "run_vqe", "sqrt_dot", "to_dense",
 ]

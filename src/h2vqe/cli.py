@@ -79,14 +79,6 @@ class RunRecord:
     def to_row(self) -> list[str]:
         return [str(getattr(self, name)) for name in self.FIELDS]
 
-    @classmethod
-    def from_row(cls, row: list[str]) -> "RunRecord":
-        return cls(
-            run_index=int(row[0]), seed=int(row[1]), energy_ha=float(row[2]),
-            band=row[3], evaluations=int(row[4]), optimizer=row[5],
-            ansatz=row[6], noise=row[7], status=row[8],
-        )
-
 
 def derive_run_seed(base_seed: int, run_index: int) -> int:
     """Deterministic, well-mixed 64-bit seed for run k of a batch."""
@@ -194,15 +186,6 @@ def _write_csv(path: str, header: tuple[str, ...], rows, no_timestamp: bool) -> 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV written by this module, comments skipped."""
-    with open(path, newline="") as fh:
-        rows = [
-            row for row in csv.reader(fh) if row and not row[0].startswith("#")
-        ]
-    return rows[0], rows[1:]
 
 
 def write_svg_scatter(

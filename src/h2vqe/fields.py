@@ -2,8 +2,8 @@
 
 Config, Hamiltonian and counts files are JSON, so a field arrives as a
 bool, number, string, list or object. :func:`check` and :func:`read` raise
-``ValueError`` on a wrong type, so a bad file fails when it is loaded
-rather than partway through a run.
+``ValueError`` on a wrong type, and :func:`read` on a missing required key,
+so a bad file fails when it is loaded rather than partway through a run.
 
 Config blocks are frozen dataclasses, and their fields are the schema:
 :func:`parse` accepts exactly the field names as keys, checks each value
@@ -94,9 +94,15 @@ def check(value, kind: type, name: str):
     raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def read(doc: dict, key: str, kind: type, default=None):
-    """``doc[key]`` checked as ``kind``, or ``default`` when the key is absent."""
+_REQUIRED = object()
+
+
+def read(doc: dict, key: str, kind: type, default=_REQUIRED):
+    """``doc[key]`` checked as ``kind``; an absent key gives ``default``, or
+    ValueError naming the key when no default is passed."""
     if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"missing required field {key!r}")
         return default
     return check(doc[key], kind, key)
 

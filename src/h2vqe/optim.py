@@ -41,10 +41,6 @@ class Trace:
         return np.array([v for _, _, v in self.entries])
 
     @property
-    def best_so_far(self) -> np.ndarray:
-        return np.minimum.accumulate(self.values)
-
-    @property
     def best_value(self) -> float:
         return float(min(v for _, _, v in self.entries))
 

@@ -136,19 +136,14 @@ class Hamiltonian:
         bit_order = read(doc, "bit_order", str, "q_high_left")
         if bit_order != "q_high_left":
             raise ValueError(f"unsupported bit_order {bit_order!r}")
-        n = check(doc["n_qubits"], int, "n_qubits")
+        n = read(doc, "n_qubits", int)
         terms = []
-        for t in check(doc["terms"], list, "terms"):
+        for t in read(doc, "terms", list):
             check(t, dict, "term")
-            label = check(t["string"], str, "string")
-            coeff = check(t["coeff"], float, "coeff")
+            label = read(t, "string", str)
+            coeff = read(t, "coeff", float)
             terms.append(PauliTerm(coeff, PauliString.from_label(label)))
         return cls(n, tuple(terms))
-
-
-def save_hamiltonian(h: Hamiltonian, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(h.to_dict(), fh, indent=1)
 
 
 def load_hamiltonian(path: str) -> Hamiltonian:

@@ -179,18 +179,6 @@ def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
     return r
 
 
-def apply_gate(state: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    if any(not 0 <= q < n_qubits for q in gate.qubits):
-        raise ValueError(f"gate {gate.name} on {gate.qubits} out of range")
-    return _walk(state, (gate,), n_qubits, 2)
-
-
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     if len(state) != 2**circuit.n_qubits:
         raise ValueError("state dimension does not match circuit qubit count")
@@ -213,11 +201,6 @@ def _walk_from_zero(circuit: Circuit, k: int, f1=1.0, f2=1.0) -> np.ndarray:
 def statevector(circuit: Circuit) -> np.ndarray:
     """Final state of the circuit started from |0...0>, as complex128."""
     return _walk_from_zero(circuit, 2).astype(complex, copy=False)
-
-
-def probabilities(circuit: Circuit) -> np.ndarray:
-    p = np.abs(_walk_from_zero(circuit, 2)) ** 2
-    return p / p.sum()
 
 
 def post_rotations(group: MeasurementGroup) -> Circuit:
@@ -285,10 +268,6 @@ class NoiseModel:
     def gate_active(self) -> bool:
         """Whether gate errors can fire, which selects the density-matrix path."""
         return self.gate_enabled and (self.p1 > 0 or self.p2 > 0)
-
-    @classmethod
-    def ideal(cls) -> "NoiseModel":
-        return cls()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NoiseModel":
@@ -504,22 +483,6 @@ def _sample(
     return CountsVector(tuple(counts.tolist()), shots)
 
 
-def sample_counts(
-    state: np.ndarray, shots: int, seed, noise: NoiseModel | None = None
-) -> CountsVector:
-    """Multinomial shot sampling from |amplitude|^2 after readout errors.
-
-    Deterministic for a fixed (state, shots, seed, noise). An enabled
-    readout channel is applied exactly to the distribution, so every arm
-    makes one draw: a multinomial over outcomes, and no per-shot uniforms.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = len(state).bit_length() - 1
-    probs = np.abs(np.asarray(state)) ** 2
-    return _sample(probs, shots, seed, noise, n)
-
-
 def _depolarizing_factors(noise: NoiseModel) -> tuple[float, float]:
     """(f1, f2) = 1 - 4p/3 for p = p1 and p2, or (1, 1) with gate errors off."""
     p1, p2 = (noise.p1, noise.p2) if noise.gate_enabled else (0.0, 0.0)
@@ -634,10 +597,11 @@ def run_noisy(
     gate noise is active (enabled with p1 or p2 nonzero), read straight
     from the interleaved layout with entries below zero clipped to zero,
     and |amplitude|^2 of the statevector otherwise. Every noise arm then
-    samples it as :func:`sample_counts` does: the readout channel, if
-    enabled, then one multinomial over outcomes. So with gate noise inert
-    this returns the counts of ``sample_counts(statevector(circuit), ...)``
-    for the same seed.
+    samples it the same way: the readout channel, if enabled, applied
+    exactly to the distribution, then one multinomial over outcomes. So the
+    counts are fixed by (circuit or state, shots, seed, noise), and with
+    gate noise inert they equal those of ``state=statevector(circuit)`` for
+    the same seed.
 
     ``state``, if given, is the circuit's final state as computed elsewhere
     (by :func:`walk_groups` or :class:`DenseAnsatz`): the statevector, or
@@ -693,24 +657,24 @@ def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
     """Parse a counts-file document; a malformed one raises ValueError.
 
     Optional metadata is checked too: ``energy_ha`` is finite, ``group_id``
-    and ``run_index`` are non-negative integers. Returns the counts in the internal (q0_rightmost) order, the group
-    basis as per-qubit labels with index = qubit (q0 first), and the
-    leftover metadata fields.
+    and ``run_index`` are non-negative integers. Returns the counts in the
+    internal (q0_rightmost) order, the group basis as per-qubit labels with
+    index = qubit (q0 first), and the leftover metadata fields.
     """
     check(doc, dict, "counts document")
     order = BitOrder(read(doc, "bit_order", str, BitOrder.Q0_LEFTMOST.value))
-    n = check(doc["n_qubits"], int, "n_qubits")
-    basis = check(doc["group_basis"], str, "group_basis").upper()
+    n = read(doc, "n_qubits", int)
+    basis = read(doc, "group_basis", str).upper()
     if len(basis) != n:  # checked first, so 2**n below is no larger than the file
         raise ValueError("group_basis length does not match n_qubits")
     if set(basis) - {"X", "Z"}:
         raise ValueError(f"group_basis {basis!r} holds a letter other than X and Z")
-    raw = [check(c, int, "counts entry") for c in check(doc["counts"], list, "counts")]
+    raw = [check(c, int, "counts entry") for c in read(doc, "counts", list)]
     if len(raw) != 2**n:
         raise ValueError(f"expected {2**n} counts, got {len(raw)}")
     if order is BitOrder.Q0_RIGHTMOST:
         basis = basis[::-1]  # under q0_leftmost char i already names qubit i
-    cv = CountsVector(tuple(raw), check(doc["shots"], int, "shots")).reordered(order)
+    cv = CountsVector(tuple(raw), read(doc, "shots", int)).reordered(order)
     if not math.isfinite(read(doc, "energy_ha", float, 0.0)):
         raise ValueError(f"energy_ha must be finite, got {doc['energy_ha']!r}")
     for key in ("group_id", "run_index"):

@@ -83,7 +83,9 @@ _ROW_MEASURES = {
 def batch_average_similarity(batch, measure="jt") -> np.ndarray:
     """Per-vector mean "jt" or "sqrtdot" similarity against the whole
     batch, self included."""
-    row_fn = _ROW_MEASURES[measure]
+    row_fn = _ROW_MEASURES.get(measure)
+    if row_fn is None:
+        raise ValueError(f"unknown measure {measure!r}; use 'jt' or 'sqrtdot'")
     vectors = np.array([probability_vector(b) for b in batch])
     if not len(vectors):
         raise ValueError("empty batch")

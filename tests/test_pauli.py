@@ -1,5 +1,6 @@
 """Hamiltonian constants, dense matrices, grouping, and the eigen oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from h2vqe.pauli import (
     h2_2qubit,
     h2_4qubit,
     load_hamiltonian,
-    save_hamiltonian,
     to_dense,
 )
 
@@ -25,6 +25,11 @@ REFERENCE_EIGENVALUES_4Q = [
     -1.867, -1.262, -1.262, -1.242, -1.242, -1.242, -1.160, -1.160,
     -0.881, -0.465, -0.465, -0.341, -0.341, -0.211, 0.000, 0.227,
 ]
+
+
+def save_hamiltonian(h, path):
+    with open(path, "w") as fh:
+        json.dump(h.to_dict(), fh)
 
 
 def two_qubit_block_spectrum():

@@ -20,21 +20,17 @@ from h2vqe.sim import (
     _walk_setting,
     NoiseModel,
     apply_circuit,
-    apply_gate,
     bit_reversal_permutation,
     counts_from_dict,
     counts_to_dict,
     density_matrix,
     pcg64_seed_states,
     post_rotations,
-    probabilities,
     run_noisy,
-    sample_counts,
     seed_entries,
     seed_words,
     statevector,
     walk_groups,
-    zero_state,
 )
 
 BELL = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
@@ -47,6 +43,17 @@ PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def zero_state(n):
+    """|0...0> on n qubits, as a writable complex statevector."""
+    return statevector(Circuit(n, ()))
+
+
+def sample_state(state, shots, seed, noise=NoiseModel()):
+    """Counts drawn from a given statevector: run_noisy's ``state=`` path."""
+    n = len(state).bit_length() - 1
+    return run_noisy(Circuit(n, ()), shots, seed, noise, state=state)
 
 
 def binomial_within_5_sigma(observed, n, p):
@@ -82,10 +89,8 @@ class TestGates:
         assert abs(out[3]) == pytest.approx(1.0)
 
     def test_out_of_range_qubit(self):
-        from h2vqe.sim import apply_gate
-
         with pytest.raises(ValueError):
-            apply_gate(zero_state(2), Gate("ry", (2,), 0.1), 2)
+            apply_circuit(zero_state(2), Circuit(2, (Gate("ry", (2,), 0.1),)))
 
     def test_ry_superop_equals_broadcast(self):
         # the 4x4 ry map is built entry by entry; each entry must be the
@@ -137,24 +142,24 @@ class TestSampling:
     def test_deterministic_state(self):
         state = zero_state(2)
         state[0], state[3] = 0.0, 1.0
-        cv = sample_counts(state, 4096, seed=1)
+        cv = sample_state(state, 4096, seed=1)
         assert cv.counts == (0, 0, 0, 4096)
 
     def test_readout_binomial(self):
         noise = NoiseModel(readout_enabled=True, readout=(0.1, 0.0))
-        cv = sample_counts(zero_state(1), 10000, seed=2, noise=noise)
+        cv = sample_state(zero_state(1), 10000, seed=2, noise=noise)
         assert binomial_within_5_sigma(cv.counts[1], 10000, 0.1)
 
     def test_bell_zero_amplitude_outcomes(self):
         state = apply_circuit(zero_state(2), BELL)
-        cv = sample_counts(state, 8192, seed=3)
+        cv = sample_state(state, 8192, seed=3)
         assert cv.counts[1] == 0 and cv.counts[2] == 0
 
     def test_sampling_determinism(self):
         state = statevector(build_circuit(AnsatzSpec(), np.linspace(0, 1, 12)))
         noise = NoiseModel(readout_enabled=True)
-        a = sample_counts(state, 4096, seed=[7, 1], noise=noise)
-        b = sample_counts(state, 4096, seed=[7, 1], noise=noise)
+        a = sample_state(state, 4096, seed=[7, 1], noise=noise)
+        b = sample_state(state, 4096, seed=[7, 1], noise=noise)
         assert a == b
 
     def test_empirical_convergence_total_variation(self):
@@ -166,20 +171,20 @@ class TestSampling:
             params = rng.uniform(-np.pi, np.pi, parameter_count(spec))
             state = statevector(build_circuit(spec, params))
             probs = np.abs(state) ** 2
-            cv = sample_counts(state, 65536, seed=[13, trial])
+            cv = sample_state(state, 65536, seed=[13, trial])
             tv = 0.5 * np.abs(cv.probabilities() - probs / probs.sum()).sum()
             assert tv < 0.02
 
     def test_shots_validation(self):
         with pytest.raises(ValueError):
-            sample_counts(zero_state(1), 0, seed=1)
+            sample_state(zero_state(1), 0, seed=1)
 
 
 class TestRunNoisy:
     def test_disabled_noise_matches_ideal_distribution(self):
         # chi-squared on the Bell circuit at 8192 shots, p > 0.001
-        cv = run_noisy(BELL, 8192, seed=5, noise=NoiseModel.ideal())
-        expected = 8192 * probabilities(BELL)
+        cv = run_noisy(BELL, 8192, seed=5, noise=NoiseModel())
+        expected = 8192 * np.abs(statevector(BELL)) ** 2
         live = expected > 0
         stat = float(
             (((np.asarray(cv.counts) - expected) ** 2)[live] / expected[live]).sum()
@@ -191,7 +196,8 @@ class TestRunNoisy:
         circ = build_circuit(AnsatzSpec(), np.linspace(0.2, 1.4, 12))
         noise = NoiseModel(readout_enabled=True)
         via_run = run_noisy(circ, 4096, seed=9, noise=noise)
-        via_sample = sample_counts(statevector(circ), 4096, seed=9, noise=noise)
+        state = statevector(circ)
+        via_sample = run_noisy(circ, 4096, seed=9, noise=noise, state=state)
         assert via_run == via_sample
 
     def test_zero_prob_gate_channel_equals_sample_counts(self):
@@ -200,7 +206,8 @@ class TestRunNoisy:
             gate_enabled=True, p1=0.0, p2=0.0, readout_enabled=True
         )
         via_run = run_noisy(circ, 2048, seed=21, noise=noise)
-        via_sample = sample_counts(statevector(circ), 2048, seed=21, noise=noise)
+        state = statevector(circ)
+        via_sample = run_noisy(circ, 2048, seed=21, noise=noise, state=state)
         assert via_run == via_sample
 
     def test_identity_circuit_readout_flips(self):
@@ -254,7 +261,7 @@ def trajectory_counts(circuit, p1, p2, shots, rng):
     states = np.zeros((2**n, shots), dtype=complex)  # one column per shot
     states[0] = 1.0
     for gate in circuit.gates:
-        states = apply_gate(states, gate, n)
+        states = apply_circuit(states, Circuit(n, (gate,)))
         p = p2 if gate.name == "cx" else p1
         for q in gate.qubits:
             fire = rng.random(shots) < p
@@ -422,7 +429,7 @@ class TestReadoutChannel:
         noise = NoiseModel(readout_enabled=True, readout=((0.5, 0.0), (0.0, 0.0)))
         for cv in (
             run_noisy(Circuit(2, ()), 8192, 71, noise),
-            sample_counts(zero_state(2), 8192, 72, noise),
+            sample_state(zero_state(2), 8192, 72, noise),
         ):
             assert cv.counts[2] == 0 and cv.counts[3] == 0
             assert binomial_within_5_sigma(cv.counts[1], 8192, 0.5)
@@ -521,8 +528,9 @@ class TestWalker:
         batch = rng.normal(size=(2**n, width)) + 1j * rng.normal(size=(2**n, width))
         circ = random_circuits(n, rng)[3]  # ryrz/linear
         for gate in circ.gates + (Gate("h", (1,)), Gate("cx", (2, 0))):
-            out = apply_gate(batch, gate, n)
-            columns = [apply_gate(batch[:, j], gate, n) for j in range(width)]
+            one = Circuit(n, (gate,))
+            out = apply_circuit(batch, one)
+            columns = [apply_circuit(batch[:, j], one) for j in range(width)]
             assert out.shape == batch.shape
             assert np.abs(out - np.stack(columns, axis=1)).max() <= 1e-15
             batch = out
@@ -701,11 +709,11 @@ class TestNoiseModel:
         ]
         for nm in models:
             assert NoiseModel.from_dict(json.loads(json.dumps(nm.to_dict()))) == nm
-        assert models[0] == models[1] == NoiseModel.ideal()
+        assert models[0] == models[1] == NoiseModel()
         assert models[2] == NoiseModel(readout_enabled=True, readout=(0.1, 0.2))
 
     def test_describe(self):
-        assert NoiseModel.ideal().describe() == "ideal"
+        assert NoiseModel().describe() == "ideal"
         assert "gate" in NoiseModel(gate_enabled=True).describe()
 
     def test_empty_object_enables_channel_with_defaults(self):
@@ -714,7 +722,7 @@ class TestNoiseModel:
         assert empty == bare
         assert empty.describe() == bare.describe() != "ideal"
         off = NoiseModel.from_dict({"gate_errors": False, "readout_errors": False})
-        assert off == NoiseModel.from_dict({}) == NoiseModel.ideal()
+        assert off == NoiseModel.from_dict({}) == NoiseModel()
 
     def test_flat_pair_equals_single_per_qubit_pair(self):
         flat = NoiseModel(readout_enabled=True, readout=(0.1, 0.3))

@@ -121,6 +121,10 @@ class TestBatchAveraging:
         with pytest.raises(ValueError):
             batch_average_similarity([], "jt")
 
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError, match="'cosine'.*'jt' or 'sqrtdot'"):
+            batch_average_similarity([np.array([0.5, 0.5])], "cosine")
+
     @pytest.mark.parametrize("dim", [4, 16])
     def test_equals_pairwise_measures(self, dim):
         # the row-vectorized matrix reproduces the pairwise measures bit for bit

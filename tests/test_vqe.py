@@ -39,9 +39,7 @@ from h2vqe.vqe import (
     EnergyEvaluator,
     VqeConfig,
     energy_from_counts,
-    evaluate_energy,
     initial_parameters,
-    pauli_expectation,
     resolve_bit_order,
     run_vqe,
 )
@@ -63,33 +61,42 @@ def uniform(shots=8192, dim=16):
     return CountsVector((shots // dim,) * dim, shots)
 
 
+def term_expectation(term, counts, conv):
+    """<P> of one term: the energy_from_counts expectation of a one-term,
+    coefficient-1 Hamiltonian measured in the term's basis."""
+    h = Hamiltonian(term.string.n_qubits, (term,))
+    groups, _ = group_terms(h)
+    ((_, value),) = energy_from_counts(h, groups, [counts], conv).expectations
+    return value
+
+
 class TestPauliExpectation:
     def test_even_parity_support(self):
         term = PauliTerm(1.0, PauliString.from_ops(4, {0: "Z", 1: "Z"}))
-        value = pauli_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
+        value = term_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
         assert value == 1.0
 
     def test_odd_parity_support(self):
         term = PauliTerm(1.0, PauliString.from_ops(4, {0: "Z"}))
-        value = pauli_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
+        value = term_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
         assert value == -1.0
 
     def test_uniform_counts_vanish(self):
         for ops in ({0: "Z"}, {1: "Z", 3: "Z"}, {0: "X", 2: "X"}):
             term = PauliTerm(1.0, PauliString.from_ops(4, ops))
-            assert pauli_expectation(term, uniform(), BitOrder.Q0_RIGHTMOST) == 0.0
+            assert term_expectation(term, uniform(), BitOrder.Q0_RIGHTMOST) == 0.0
 
     def test_convention_changes_bit(self):
         term = PauliTerm(1.0, PauliString.from_ops(4, {3: "Z"}))
         cv = concentrated(IDX_1110)
-        assert pauli_expectation(term, cv, BitOrder.Q0_RIGHTMOST) == 1.0
+        assert term_expectation(term, cv, BitOrder.Q0_RIGHTMOST) == 1.0
         # under q0-leftmost, qubit 3 reads bit 0, which is set
-        assert pauli_expectation(term, cv, BitOrder.Q0_LEFTMOST) == -1.0
+        assert term_expectation(term, cv, BitOrder.Q0_LEFTMOST) == -1.0
 
     def test_qubit_mismatch(self):
         term = PauliTerm(1.0, PauliString.from_label("ZZ"))
         with pytest.raises(ValueError):
-            pauli_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
+            term_expectation(term, concentrated(IDX_1110), BitOrder.Q0_RIGHTMOST)
 
 
 class TestEnergyFromCounts:
@@ -204,7 +211,7 @@ class TestResolveBitOrder:
 class TestEvaluateEnergy:
     def test_zero_parameters(self):
         cfg = VqeConfig(seed=0)
-        est = evaluate_energy(np.zeros(12), cfg, seed=5)
+        est = EnergyEvaluator.from_config(cfg).evaluate(np.zeros(12), seed=5)
         # |0000>: every Z-expectation is exactly +1 and the X contributions
         # cancel pairwise by coefficient symmetry, so the estimate equals
         # the coefficient sum up to nothing at all
@@ -220,8 +227,9 @@ class TestEvaluateEnergy:
     def test_determinism(self):
         cfg = VqeConfig(seed=1)
         params = np.linspace(-0.5, 0.5, 12)
-        a = evaluate_energy(params, cfg, seed=[2, 3])
-        b = evaluate_energy(params, cfg, seed=[2, 3])
+        evaluator = EnergyEvaluator.from_config(cfg)
+        a = evaluator.evaluate(params, seed=[2, 3])
+        b = evaluator.evaluate(params, seed=[2, 3])
         assert a.energy == b.energy
         assert a.group_counts == b.group_counts
 
@@ -232,7 +240,8 @@ class TestEvaluateEnergy:
                 seed=3,
             )
         )
-        est = evaluate_energy(run.params, VqeConfig(shots=8192, seed=3), seed=99)
+        evaluator = EnergyEvaluator.from_config(VqeConfig(shots=8192, seed=3))
+        est = evaluator.evaluate(run.params, seed=99)
         assert est.energy == pytest.approx(-1.867, abs=0.01)
 
     def test_analytic_variational_bound(self):
@@ -613,7 +622,7 @@ class TestEvaluateOnce:
                 label, value = next(pairs)
                 assert label == term.string.to_label()
                 assert value == pytest.approx(
-                    pauli_expectation(term, cv, BitOrder.Q0_RIGHTMOST), abs=1e-12)
+                    term_expectation(term, cv, BitOrder.Q0_RIGHTMOST), abs=1e-12)
 
     @pytest.mark.parametrize("ham, n, noise", EVAL_ARMS, ids=EVAL_IDS)
     def test_estimates_equal_for_same_params_and_seed(self, ham, n, noise):
