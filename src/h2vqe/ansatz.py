@@ -44,6 +44,13 @@ class Gate:
         else:
             raise ValueError(f"unknown gate {self.name!r}")
 
+    @classmethod
+    def _from_checked(cls, name: str, qubits: tuple[int, ...], angle) -> "Gate":
+        """A gate whose name, qubits and angle were already checked, unchecked."""
+        gate = object.__new__(cls)
+        vars(gate).update(name=name, qubits=qubits, angle=angle)
+        return gate
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -125,13 +132,22 @@ def _layout(spec: AnsatzSpec) -> tuple:
 
 
 def build_circuit(spec: AnsatzSpec, params) -> Circuit:
-    """Assemble the ansatz circuit for one parameter vector (radians)."""
-    params = [float(p) for p in params]
+    """Assemble the ansatz circuit for one parameter vector (radians).
+
+    Each entry goes through ``float`` once. The vector is then checked once:
+    its length, then that every angle is finite (ValueError for either).
+    ``_layout`` fixed each rotation's name and qubit, so no gate is
+    checked again here.
+    """
+    params = list(map(float, params))
     expected = parameter_count(spec)
     if len(params) != expected:
         raise ValueError(f"expected {expected} parameters, got {len(params)}")
-    gates = tuple(
-        op if isinstance(op, Gate) else Gate(op[0], op[1], params[op[2]])
+    if not all(map(math.isfinite, params)):
+        raise ValueError("non-finite rotation angle")
+    rotation = Gate._from_checked
+    gates = tuple([
+        op if isinstance(op, Gate) else rotation(op[0], op[1], params[op[2]])
         for op in _layout(spec)
-    )
+    ])
     return Circuit._from_scanned(spec.n_qubits, gates)

@@ -38,7 +38,8 @@ Without ``state``, ``run_noisy`` walks the whole circuit itself.
 
 Statevectors on at most DENSE_ANSATZ_QUBITS qubits have a second form,
 :class:`DenseAnsatz`: an ansatz's rotation layers as 2^n x 2^n Kronecker
-products, its entangling layers as composed gathers and every group's H
+products (the first, which acts on |0...0>, only as the product state it
+makes), its entangling layers as composed gathers and every group's H
 tail in one stacked matrix, applied by matrix-vector products. It too
 rounds differently from a full walk, matching its probabilities to a few
 ulps rather than bit for bit.
@@ -410,7 +411,10 @@ def seed_words(seed) -> list[int]:
     for s in seed_entries(seed):
         if s < 0:
             raise ValueError(f"seed entry {s} is negative")
-        words += [(s >> b) & 0xFFFFFFFF for b in range(0, max(s.bit_length(), 1), 32)]
+        words.append(s & 0xFFFFFFFF)
+        while s > 0xFFFFFFFF:
+            s >>= 32
+            words.append(s & 0xFFFFFFFF)
     return words
 
 
@@ -467,20 +471,6 @@ def _confusion_maps(noise: NoiseModel, n: int) -> tuple[np.ndarray, ...]:
     """Read-only A_q of qubits 0 .. n-1 under ``noise``'s readout errors."""
     pairs = zip(*noise.readout_probs(n))
     return tuple(_frozen(np.array([[1.0 - a, b], [a, 1.0 - b]])) for a, b in pairs)
-
-
-def _sample(
-    probs: np.ndarray,
-    shots: int,
-    seed,
-    noise: NoiseModel | None,
-    n: int,
-) -> CountsVector:
-    if noise is not None and noise.readout_enabled:
-        for q, a in enumerate(_confusion_maps(noise, n)):
-            probs = _on_axis(a, probs, q, n, 2)
-    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-    return CountsVector(tuple(counts.tolist()), shots)
 
 
 def _depolarizing_factors(noise: NoiseModel) -> tuple[float, float]:
@@ -543,7 +533,8 @@ class DenseAnsatz:
     which is diagonal and so scales row i by the phase of bit q of i. Entry
     (i, j) of the layer's 2^n x 2^n Kronecker product is then a product of
     one factor per gate, each an entry of a per-evaluation table; which
-    entry is fixed here.
+    entry is fixed here. The first layer acts on |0...0>, so of its map only
+    column 0 is formed: the product state, entry i one product per gate.
     """
 
     def __init__(self, layout, n: int, tails):
@@ -562,9 +553,11 @@ class DenseAnsatz:
         ij, qubit = np.arange(4**n), np.arange(n)[:, None]  # entry (i, j) at i 2^n + j
         bits = (ij >> (n + qubit)) & 1, (ij >> qubit) & 1  # bit q of i and of j, per q
         slots = {name: table[bits] for name, table in _SLOTS.items()}
-        self._index = np.array([
+        index = np.array([
             [slots[name][q] * count + k for name, (q,), k in layer] for layer in layers
         ])
+        # the first layer's column 0, entries (i, 0) at i 2^n, then the later layers
+        self._first, self._index = index[0, :, ::2**n].copy(), index[1:]
         maps = [_walk(np.eye(2**n), tail.gates, n, 2) for tail in tails]
         self._tails = np.array(maps).reshape(-1, 2**n)
         self.n_qubits = n
@@ -572,14 +565,15 @@ class DenseAnsatz:
     def amplitudes(self, params) -> np.ndarray:
         """Read-only (G, 2^n) array: row g is the ansatz's statevector at
         ``params`` after group g's H tail. The trig of every parameter is
-        one pass, each layer map one gather and product over its gates."""
+        one pass; the first layer's product state is one gather and product
+        over its gates, and each later layer map one more."""
         z = np.exp(0.5j * np.asarray(params, dtype=float))
         c, s = z.real, z.imag
         table = np.concatenate((c, s, -s, z.conj(), z) if self._complex else (c, s, -s))
         d = 2**self.n_qubits
+        state = table[self._first].prod(axis=0)
         maps = table[self._index].prod(axis=1).reshape(-1, d, d)
-        state = maps[0, :, 0]
-        for layer, gather in zip(maps[1:], self._gathers):
+        for layer, gather in zip(maps, self._gathers):
             state = layer @ state[gather]
         return _frozen((self._tails @ state).reshape(-1, d))
 
@@ -624,7 +618,11 @@ def run_noisy(
         probs = np.maximum(state[diagonal].real, 0.0)
     else:
         probs = np.abs(state) ** 2
-    return _sample(probs, shots, seed, noise, n)
+    if noise.readout_enabled:
+        for q, a in enumerate(_confusion_maps(noise, n)):
+            probs = _on_axis(a, probs, q, n, 2)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return CountsVector(tuple(counts.tolist()), shots)
 
 
 def counts_to_dict(
@@ -690,7 +688,7 @@ def counts_from_dict(doc: dict) -> tuple[CountsVector, str, dict]:
 
 def save_counts(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # one write; json.dump makes many small ones
 
 
 def load_counts(path: str) -> tuple[CountsVector, str, dict]:

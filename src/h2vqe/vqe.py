@@ -138,9 +138,10 @@ class _Estimator:
         self, counts_per_group: tuple[CountsVector, ...], conv: BitOrder
     ) -> EnergyEstimate:
         """Estimate from counts in the ``conv`` order, which it keeps as given."""
-        energy, values = self.energy(
-            cv.reordered(conv).probabilities() for cv in counts_per_group
-        )
+        rightmost = counts_per_group
+        if BitOrder(conv) is not BitOrder.Q0_RIGHTMOST:
+            rightmost = [cv.reordered(conv) for cv in counts_per_group]
+        energy, values = self.energy(cv.probabilities() for cv in rightmost)
         return EnergyEstimate(energy, counts_per_group, self.labels, tuple(values))
 
 
@@ -307,7 +308,8 @@ class EnergyEvaluator:
     def evaluate(self, params, seed) -> EnergyEstimate:
         """Sampled energy estimate; deterministic in (params, seed).
 
-        ``build_circuit`` makes (and checks) the ansatz circuit. The final
+        ``build_circuit`` makes the ansatz circuit, and is where ``params``
+        is checked: its length, then that every angle is finite. The final
         state of every group's circuit ``circuit.concat(rotation)`` comes from
         the evaluator's :class:`~h2vqe.sim.DenseAnsatz` (no gate noise, at most
         DENSE_ANSATZ_QUBITS qubits) or else from :func:`~h2vqe.sim.walk_groups`,
@@ -376,11 +378,11 @@ def run_vqe(cfg: VqeConfig) -> VqeResult:
     """
     evaluator = EnergyEvaluator.from_config(cfg)
     x0 = initial_parameters(cfg)
-    eval_index = 0
+    eval_index, eval_head = 0, seed_entries(cfg.seed) + [_SEED_EVAL]
 
     def objective(x):
         nonlocal eval_index
-        seed = seed_entries(cfg.seed) + [_SEED_EVAL, eval_index]
+        seed = eval_head + [eval_index]
         eval_index += 1
         return evaluator.evaluate(x, seed).energy
 

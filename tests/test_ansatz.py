@@ -210,3 +210,42 @@ def test_layout_scan_rejects_out_of_range_entangler(monkeypatch):
     monkeypatch.setattr(ansatz, "entangler_pairs", lambda spec: ((0, 1), (2, 3)))
     with pytest.raises(ValueError, match=r"gate cx on \(2, 3\) out of range for 3"):
         build_circuit(spec, np.zeros(parameter_count(spec)))
+
+
+@pytest.mark.parametrize("form", ["ry", "ryrz"])
+@pytest.mark.parametrize("entanglement", ["linear", "circular", "full"])
+def test_built_gates_equal_checked_gates(form, entanglement):
+    spec = AnsatzSpec(form, entanglement, 2, 4)
+    params = np.random.default_rng(43).uniform(-4, 4, parameter_count(spec))
+    for gate in build_circuit(spec, params).gates:
+        checked = Gate(gate.name, gate.qubits, gate.angle)
+        assert type(gate) is Gate and gate == checked and hash(gate) == hash(checked)
+        assert vars(gate) == vars(checked)
+        if gate.angle is not None:
+            assert type(gate.angle) is float
+
+
+def finite_but(k, value, size=12):
+    return [0.25] * k + [value] + [0.25] * (size - 1 - k)
+
+
+@pytest.mark.parametrize("params, error, message", [
+    (np.zeros(11), ValueError, "expected 12 parameters, got 11"),
+    (finite_but(12, np.nan, 13), ValueError, "expected 12 parameters, got 13"),
+    (finite_but(11, np.nan), ValueError, "non-finite rotation angle"),
+    (finite_but(4, np.nan), ValueError, "non-finite rotation angle"),
+    (finite_but(0, np.inf), ValueError, "non-finite rotation angle"),
+    (finite_but(7, -np.inf), ValueError, "non-finite rotation angle"),
+    (finite_but(3, "nan"), ValueError, "non-finite rotation angle"),
+    (finite_but(5, "a"), ValueError, "could not convert string to float: 'a'"),
+    (finite_but(5, None), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    (finite_but(12, "a", 13), ValueError, "could not convert string to float: 'a'"),
+], ids=["short", "long-with-nan", "nan-last", "nan-inside", "inf", "-inf",
+        "nan-string", "non-numeric", "none", "non-numeric-long"])
+def test_bad_parameters_raise_as_before(params, error, message):
+    # each entry is converted before the length is checked, and the length
+    # before any angle's finiteness
+    with pytest.raises(error) as excinfo:
+        build_circuit(AnsatzSpec(), params)
+    assert type(excinfo.value) is error and str(excinfo.value) == message

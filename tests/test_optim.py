@@ -127,6 +127,22 @@ class TestSpsa:
         assert math.isfinite(err.value.f_best)
         assert len(err.value.trace) == 6
 
+    def test_pinned_dense_trajectory(self):
+        # ideal 4q SPSA takes the dense layer maps; recorded from this
+        # implementation, so a change that moves a draw moves these numbers
+        cfg = VqeConfig(
+            hamiltonian="4q", ansatz=AnsatzSpec(n_qubits=4), shots=1024,
+            optimizer=OptimizerConfig(method="spsa", max_iterations=20), seed=1,
+        )
+        result = run_vqe(cfg)
+        assert len(result.trace) == 40
+        assert repr(result.energy) == "-1.730959296875"
+        assert result.params.tolist() == [
+            0.16735093273609092, 2.6729430464247166, -1.176994152947677,
+            3.0074182897056447, -2.558531663500815, -0.4453617673615869,
+            1.7610566624431176, -1.0202467074147197, 0.2724651564355044,
+            -3.125645717932289, 2.1124376179824655, -0.03005434386667777]
+
 
 class TestCobyla:
     def test_shifted_quadratic(self):

@@ -24,9 +24,11 @@ from h2vqe.sim import (
     counts_from_dict,
     counts_to_dict,
     density_matrix,
+    load_counts,
     pcg64_seed_states,
     post_rotations,
     run_noisy,
+    save_counts,
     seed_entries,
     seed_words,
     statevector,
@@ -671,6 +673,19 @@ class TestCountsSerialization:
     def test_bit_reversal_involution(self):
         perm = bit_reversal_permutation(4)
         assert np.array_equal(perm[perm], np.arange(16))
+
+    def test_saved_file_is_json_dump_output(self, tmp_path):
+        cv = CountsVector((5, 0, 1, 10), 16)
+        doc = counts_to_dict(cv, ("X", "Z"), group_id=1, run_index=3,
+                             energy_ha=-1.8394752343750003, band="ground")
+        path = tmp_path / "run0003_g1.json"
+        save_counts(str(path), doc)
+        with open(tmp_path / "dumped.json", "w") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+        assert load_counts(str(path)) == (cv, "XZ", {
+            "group_id": 1, "run_index": 3, "energy_ha": -1.8394752343750003,
+            "band": "ground"})
 
     def test_bad_tags(self):
         cv = CountsVector((1, 1), 2)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from h2vqe.pauli import (
     group_terms,
     h2_4qubit,
 )
-from h2vqe.ansatz import build_circuit
+from h2vqe.ansatz import Gate, _layout, build_circuit
 from h2vqe.sim import (
     DENSE_ANSATZ_QUBITS,
     CountsVector,
+    DenseAnsatz,
     NoiseModel,
     _walk_from_zero,
     post_rotations,
@@ -169,6 +171,21 @@ class TestEnergyFromCounts:
         for names in (("A0", "A1"), ("B0", "B1")):
             est = self._fixture_energy(*names)
             assert abs(est.energy - self.h.identity_coefficient) <= span
+
+    def test_counts_kept_as_passed_in_either_order(self):
+        a0, a1 = fixtures.fixture_counts("A0"), fixtures.fixture_counts("A1")
+        counts = (a0, a1)
+        for conv in BitOrder:
+            est = energy_from_counts(self.h, self.groups, counts, conv)
+            assert est.group_counts == counts
+            assert all(kept is cv for kept, cv in zip(est.group_counts, counts))
+        leftmost = energy_from_counts(self.h, self.groups, counts,
+                                      BitOrder.Q0_LEFTMOST)
+        moved = tuple(cv.reordered(BitOrder.Q0_LEFTMOST) for cv in counts)
+        assert moved != counts
+        rightmost = energy_from_counts(self.h, self.groups, moved,
+                                       BitOrder.Q0_RIGHTMOST)
+        assert leftmost.energy == rightmost.energy
 
     def test_y_term_rejected(self):
         # no counts can come from a Y basis, so no energy is estimated
@@ -744,6 +761,29 @@ class TestDenseAnsatz:
                 walked = _walk_from_zero(group_circuit, 2)
                 np.testing.assert_allclose(np.abs(state) ** 2, np.abs(walked) ** 2,
                                            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("form", ["ry", "ryrz"])
+    def test_first_layer_is_product_of_gate_factors(self, form):
+        # the first layer acts on |0...0>: entry i of its state is the product,
+        # in gate order, of each gate's matrix entry (bit q of i, 0)
+        rng = np.random.default_rng(23)
+        for n in range(2, DENSE_ANSATZ_QUBITS + 1):
+            spec = AnsatzSpec(form=form, n_qubits=n)
+            first = list(takewhile(lambda op: not isinstance(op, Gate), _layout(spec)))
+            dense = DenseAnsatz(first, n, [Circuit(n, ())])
+            angles = rng.uniform(-7, 7, len(first))
+            z = np.exp(0.5j * angles)
+            bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+            factors = []
+            for name, (q,), k in first:
+                if name == "ry":
+                    factors.append(np.where(bits[q] == 1, z.imag[k], z.real[k]))
+                else:
+                    factors.append(np.where(bits[q] == 1, z[k], z.conj()[k]))
+            state = factors[0]
+            for factor in factors[1:]:
+                state = state * factor
+            np.testing.assert_array_equal(dense.amplitudes(angles), state[None, :])
 
     @pytest.mark.parametrize("ham, spec, noise", [
         ("4q", AnsatzSpec(), NoiseModel()),
