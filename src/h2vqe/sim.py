@@ -374,6 +374,14 @@ class CountsVector:
         if sum(self.counts) != self.shots:
             raise ValueError("counts do not sum to shots")
 
+    @classmethod
+    def _from_draw(cls, counts: tuple[int, ...], shots: int) -> "CountsVector":
+        """The counts of one multinomial draw of ``shots`` over 2^n >= 2
+        outcomes, unchecked: the draw already holds every check."""
+        cv = object.__new__(cls)
+        vars(cv).update(counts=counts, shots=shots)
+        return cv
+
     @property
     def n_qubits(self) -> int:
         return len(self.counts).bit_length() - 1
@@ -622,7 +630,7 @@ def run_noisy(
         for q, a in enumerate(_confusion_maps(noise, n)):
             probs = _on_axis(a, probs, q, n, 2)
     counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-    return CountsVector(tuple(counts.tolist()), shots)
+    return CountsVector._from_draw(tuple(counts.tolist()), shots)
 
 
 def counts_to_dict(

@@ -297,9 +297,13 @@ class EnergyEvaluator:
             size = min(_SEED_BLOCK, 2**32 - key[-1]) if key == self._next_words else 1
             keys = [(*key[:-1], key[-1] + i) for i in range(size)] if key else [key]
             groups = len(self._post_rotations)
-            flat = pcg64_seed_states(np.array(
-                [[*k, g] for k in keys for g in range(groups)], dtype=np.uint32
-            ).reshape(-1, len(key) + 1).T)  # shaped even with no groups
+            # column i * groups + g holds the words [*keys[i], g]
+            columns = np.empty((len(key) + 1, size, groups), dtype=np.uint32)
+            columns[:-1] = np.array(key, dtype=np.uint32).reshape(-1, 1, 1)
+            if key:
+                columns[-2] += np.arange(size, dtype=np.uint32)[:, None]
+            columns[-1] = np.arange(groups, dtype=np.uint32)
+            flat = pcg64_seed_states(columns.reshape(len(key) + 1, size * groups))
             self._seed_states = {k: flat[i * groups:(i + 1) * groups]
                                  for i, k in enumerate(keys)}
             self._next_words = (*keys[-1][:-1], keys[-1][-1] + 1) if key else None

@@ -240,6 +240,22 @@ class TestRunNoisy:
         assert density_matrix(circ, noise).diagonal().real[1] < 0
         assert run_noisy(circ, 64, seed=1, noise=noise).counts == (64, 0)
 
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(), NoiseModel(readout_enabled=True, readout=(0.4, 0.1)),
+        NoiseModel(gate_enabled=True, p1=0.2, p2=0.3, readout_enabled=True),
+    ], ids=["ideal", "readout", "gate+readout"])
+    def test_draws_pass_the_counts_checks(self, noise):
+        # run_noisy builds its counts unchecked; each draw must pass them
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            circ = Circuit(n, tuple(Gate("ry", (q,), a) for q, a in
+                                    enumerate(rng.uniform(-3, 3, n))))
+            for shots in (1, 7, 4096):
+                cv = run_noisy(circ, shots, seed=[n, shots], noise=noise)
+                assert cv == CountsVector(cv.counts, cv.shots)
+                assert len(cv.counts) == 2**n and cv.shots == shots
+                assert all(type(c) is int for c in cv.counts)
+
     def test_gate_noise_shifts_bell(self):
         noise = NoiseModel(gate_enabled=True, p1=0.05, p2=0.05)
         cv = run_noisy(BELL, 8192, seed=43, noise=noise)
