@@ -463,6 +463,41 @@ class TestBatch:
         assert statuses[1].startswith("failed")
         assert math.isnan(float(rows[1][2]))
 
+    def test_run_with_no_finite_evaluation(self, tmp_path, monkeypatch):
+        import h2vqe.cli as cli_mod
+        from h2vqe.vqe import EnergyEvaluator
+
+        real_run, real_evaluate = cli_mod.run_vqe, EnergyEvaluator.evaluate
+
+        def never_finite(self, params, seed):
+            est = real_evaluate(self, params, seed)
+            object.__setattr__(est, "energy", math.nan)
+            return est
+
+        def flaky(cfg):
+            if cfg.seed != derive_run_seed(7, 1):
+                return real_run(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(EnergyEvaluator, "evaluate", never_finite)
+                return real_run(cfg)
+
+        monkeypatch.setattr(cli_mod, "run_vqe", flaky)
+        path = write_json(tmp_path / "b.json", batch_config(n_runs=3))
+        out = tmp_path / "out"
+        assert main(["batch", "--config", path, "--out-dir", str(out),
+                     "--no-timestamp"]) == 0
+        _, rows = read_csv_rows(str(out / "runs.csv"))
+        records = [record_from_row(r) for r in rows]
+        assert [r.status for r in records] == ["ok", "incomplete", "ok"]
+        assert math.isnan(records[1].energy_ha) and records[1].band == "erroneous"
+        assert records[1].evaluations == 1
+        assert sorted(os.listdir(out / "counts")) == [
+            "run0000_g0.json", "run0000_g1.json", "run0002_g0.json", "run0002_g1.json"]
+        _, sim_rows = read_csv_rows(str(out / "similarity.csv"))
+        assert len(sim_rows) == 4
+        assert all(row[0] == repr(r.energy_ha)
+                   for row, r in zip(sim_rows, [records[0], records[2]] * 2))
+
     def test_fields_with_commas_round_trip(self, tmp_path, monkeypatch):
         import h2vqe.cli as cli_mod
 

@@ -9,6 +9,7 @@ import pytest
 
 from h2vqe.ansatz import AnsatzSpec
 from h2vqe.optim import (
+    _BRACKET_EXPANSIONS,
     _COBYLA_ALPHA,
     _COBYLA_BETA,
     METHODS,
@@ -172,6 +173,17 @@ class TestCobyla:
         _, f_best, _ = cobyla_minimize(f, np.array([2.0, 2.0]), cfg)
         assert f_best < 1e-3
 
+
+    def test_zero_gradient_halves_rho_then_stops(self):
+        # a constant objective has zero interpolated gradient: rho halves
+        # from 1 to 0.25 with no evaluation, the edges (now too long) are
+        # repaired at 0.5 * rho, and the run stops at rho == tolerance
+        cfg = OptimizerConfig(method="cobyla", tolerance=0.25)
+        _, f_best, trace = cobyla_minimize(lambda x: 2.0, np.array([0.5, -1.0]), cfg)
+        assert f_best == 2.0
+        assert trace.values.tolist() == [2.0] * 5
+        assert [x.tolist() for _, x, _ in trace.entries] == [
+            [0.5, -1.0], [1.5, -1.0], [0.5, 0.0], [0.625, -1.0], [0.5, -0.875]]
 
     def test_pinned_trajectory(self):
         # recorded from this implementation: a change that moves COBYLA
@@ -338,6 +350,35 @@ class TestNelderMead:
                 0.5 * np.linalg.norm(before - pts[0])
             )
 
+    def test_pinned_shrink(self):
+        # the sixth iteration's contraction fails and the simplex shrinks
+        # toward its best vertex (the last two evaluations); recorded from
+        # this implementation
+        def rastrigin(x):
+            return float(10 * x.size + np.sum(x**2 - 10 * np.cos(2 * np.pi * x)))
+
+        cfg = OptimizerConfig(method="nelder-mead", max_iterations=6)
+        _, _, trace = nelder_mead_minimize(rastrigin, np.array([0.5, -0.2]), cfg)
+        assert [x.tolist() for _, x, _ in trace.entries] == [
+            [0.5, -0.2], [1.0, -0.2], [0.5, 0.3], [1.0, -0.7], [1.5, -0.7],
+            [0.75, -0.32499999999999996], [1.25, -0.575],
+            [0.875, -0.38749999999999996], [1.125, -0.5125],
+            [0.9375, -0.41874999999999996], [1.0625, -0.48124999999999996],
+            [0.96875, -0.43437499999999996], [1.03125, -0.46562499999999996],
+            [0.984375, -0.44218749999999996], [1.0, -0.44999999999999996],
+            [0.984375, -0.31718749999999996]]
+        assert trace.values.tolist() == [
+            27.199830056250526, 7.949830056250526, 33.430169943749476,
+            14.580169943749475, 35.830169943749475, 25.208029997395464,
+            30.803190241883676, 21.448773094134832, 24.4263867754658,
+            20.540422558115104, 22.052397056936393, 20.481184970264053,
+            21.24008921230142, 20.560158477342203, 20.713065162951537,
+            15.21499508753623]
+        # the shrunk vertices lie halfway from the best vertex to the old ones
+        best, old = np.array([1.0, -0.2]), [[1.0, -0.7], [0.96875, -0.434375]]
+        assert np.allclose([x for _, x, _ in trace.entries[-2:]],
+                           [best + 0.5 * (np.array(p) - best) for p in old])
+
     def test_tolerance_termination(self):
         counter = CountingObjective(sphere)
         cfg = OptimizerConfig(
@@ -377,6 +418,47 @@ class TestPowell:
         # 1 initial eval + one failed bracket scan per direction, no cycle 2
         assert counter.calls <= 1 + 3 * 6
         assert any("bracket" in note for note in trace.notes)
+
+    def test_unbounded_line_exhausts_bracket(self):
+        # -x0 falls forever: each of the _BRACKET_EXPANSIONS expansions
+        # finds a lower value (t = 2^k - 1), the last bracket is returned,
+        # and a line tolerance wider than it leaves golden section two probes
+        cfg = OptimizerConfig(method="powell", max_iterations=1, tolerance=1e300,
+                              powell_line_tolerance=1e13)
+        x_best, f_best, trace = powell_minimize(lambda x: -x[0], np.zeros(1), cfg)
+        points = [float(x[0]) for _, x, _ in trace.entries]
+        assert len(trace) == 1 + (1 + _BRACKET_EXPANSIONS) + 2
+        assert points[:2 + _BRACKET_EXPANSIONS] == [
+            2.0**k - 1 for k in range(2 + _BRACKET_EXPANSIONS)]
+        assert points[-2:] == [2359439840129.127, 3138118298748.873]
+        assert trace.values.tolist() == [-p for p in points]
+        assert x_best.tolist() == [3138118298748.873] and f_best == -3138118298748.873
+
+    def test_fixed_step_scan_finds_lower_value(self):
+        # neither +1 nor -1 descends from 0, so the scan runs and finds 0.25;
+        # the net-direction search from there scans and keeps its point
+        cfg = OptimizerConfig(method="powell", max_iterations=1, powell_step=1.0)
+        x_best, f_best, trace = powell_minimize(
+            lambda x: (x[0] - 0.25) ** 2, np.zeros(1), cfg)
+        assert [float(x[0]) for _, x, _ in trace.entries] == [
+            0.0, 1.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.25, -0.75, -0.25, 0.0, 0.5, 0.75]
+        assert trace.values.tolist() == [
+            0.0625, 0.5625, 1.5625, 0.5625, 0.25, 0.0, 0.0625,
+            1.0, 1.0, 0.25, 0.0625, 0.0625, 0.25]
+        assert x_best.tolist() == [0.25] and f_best == 0.0
+        assert len(trace.notes) == 2
+
+    def test_line_search_keeps_point_when_golden_section_finds_nothing(self):
+        # the bracket's descent is a single point (t = 1) that golden section
+        # never probes, so the line search returns the cycle's start point
+        # and the cycle improves nothing
+        cfg = OptimizerConfig(method="powell", max_iterations=5,
+                              powell_line_tolerance=10.0)
+        _, _, trace = powell_minimize(
+            lambda x: -1.0 if x[0] == 1.0 else 0.0, np.zeros(1), cfg)
+        assert [float(x[0]) for _, x, _ in trace.entries] == [
+            0.0, 1.0, 3.0, 1.1458980337503153, 1.8541019662496847]
+        assert trace.values.tolist() == [0.0, -1.0, 0.0, 0.0, 0.0]
 
     def test_unreachable_line_tolerance_returns(self):
         # no float bracket is 1e-20 wide around the minima at 2 and -1, so the

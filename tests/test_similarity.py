@@ -137,6 +137,23 @@ class TestBatchAveraging:
             assert np.array_equal(avg, sims.mean(axis=1))
 
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_equals_matrix_reference(self, m):
+        # the m x m matrix of every pair, built by broadcasting, then its
+        # row means: the batch average matches it bit for bit
+        rng = np.random.default_rng([31, m])
+        for dim in (2, 5, 16, 33):
+            batch = rng.dirichlet(np.full(dim, 0.3), size=m)
+            u, v = batch[:, None, :], batch[None, :, :]
+            matrices = {
+                "jt": np.minimum(u, v).sum(2) / np.maximum(u, v).sum(2),
+                "sqrtdot": np.sqrt(u * v).sum(2),
+            }
+            for measure, sims in matrices.items():
+                avg = batch_average_similarity(list(batch), measure)
+                assert np.array_equal(avg, sims.mean(axis=1))
+
+
 class TestClassification:
     def test_reference_energies(self):
         assert classify_energy(-1.842) == BAND_GROUND

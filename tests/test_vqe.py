@@ -357,6 +357,25 @@ class TestRunVqe:
         assert not result.complete
         assert len(result.trace) == 7
 
+    def test_no_finite_evaluation(self, monkeypatch):
+        # the first evaluation aborts the run, so it has no best point
+        cfg = VqeConfig(
+            optimizer=OptimizerConfig(method="cobyla", max_iterations=20), seed=13
+        )
+        real = EnergyEvaluator.evaluate
+
+        def never_finite(self, params, seed):
+            est = real(self, params, seed)
+            object.__setattr__(est, "energy", math.inf)
+            return est
+
+        monkeypatch.setattr(EnergyEvaluator, "evaluate", never_finite)
+        result = run_vqe(cfg)
+        assert math.isnan(result.energy)
+        assert result.band == "erroneous" and result.final_counts == ()
+        assert not result.complete and len(result.trace) == 1
+        assert np.array_equal(result.params, initial_parameters(cfg))
+
     def test_initial_parameter_policies(self):
         uniform_cfg = VqeConfig(seed=4)
         zeros_cfg = VqeConfig(seed=4, initial_params="zeros")
