@@ -1,13 +1,14 @@
 """Derivative-free minimizers: SPSA, COBYLA, Nelder-Mead, and Powell.
 
-All four run behind :func:`minimize` and record every objective call in a
-:class:`Trace`; the reported best value is the minimum over recorded
-evaluations, which for stochastic objectives is the natural "final energy"
-of a run. ``max_iterations`` counts method-level iterations (SPSA steps of
-two evaluations, COBYLA trust-region steps, Nelder-Mead iterations, Powell
-cycles); ``tolerance`` maps to the COBYLA final trust radius, the
-Nelder-Mead value spread, and the Powell per-cycle improvement, and is
-ignored by SPSA, which is budget-terminated.
+All four run behind :func:`minimize` through one driver, :func:`_minimizer`,
+which checks ``x0``, records every objective call in a :class:`Trace`, stops
+at a non-finite value, and returns the trace's best point. The reported best
+value is the minimum over recorded finite evaluations, which for stochastic
+objectives is the natural "final energy" of a run. ``max_iterations`` counts
+method-level iterations (SPSA steps of two evaluations, COBYLA trust-region
+steps, Nelder-Mead iterations, Powell cycles); ``tolerance`` maps to the
+COBYLA final trust radius, the Nelder-Mead value spread, and the Powell
+per-cycle improvement, and is ignored by SPSA, which is budget-terminated.
 """
 
 from __future__ import annotations
@@ -40,14 +41,16 @@ class Trace:
     def values(self) -> np.ndarray:
         return np.array([v for _, _, v in self.entries])
 
+    # the best point skips non-finite values, which only an aborted run records
     @property
     def best_value(self) -> float:
-        return float(min(v for _, _, v in self.entries))
+        return float(min((v for _, _, v in self.entries if math.isfinite(v)),
+                         default=math.nan))
 
     @property
-    def best_x(self) -> np.ndarray:
-        _, x, _ = min(self.entries, key=lambda e: e[2])
-        return x.copy()
+    def best_x(self) -> np.ndarray | None:
+        finite = [e for e in self.entries if math.isfinite(e[2])]
+        return min(finite, key=lambda e: e[2])[1].copy() if finite else None
 
     def to_csv(self, path: str) -> None:
         """Columns: eval_index, energy_ha, then one column per parameter."""
@@ -62,32 +65,13 @@ class Trace:
 
 
 class OptimizationAbort(RuntimeError):
-    """Raised on a non-finite objective value; carries the best so far."""
+    """Raised on a non-finite objective value; carries the trace's best
+    point so far (``x_best`` None and ``f_best`` nan if no value was finite)."""
 
     def __init__(self, message: str, trace: Trace):
         super().__init__(message)
         self.trace = trace
-        finite = [e for e in trace.entries if math.isfinite(e[2])]
-        self.x_best = min(finite, key=lambda e: e[2])[1].copy() if finite else None
-        self.f_best = min((e[2] for e in finite), default=math.nan)
-
-
-class _TracedObjective:
-    """Wraps the raw objective: counts calls, records them, rejects NaN."""
-
-    def __init__(self, fn, trace: Trace):
-        self.fn = fn
-        self.trace = trace
-
-    def __call__(self, x: np.ndarray) -> float:
-        value = float(self.fn(x))
-        self.trace.append(x, value)
-        if not math.isfinite(value):
-            raise OptimizationAbort(
-                f"objective returned {value} at evaluation {len(self.trace) - 1}",
-                self.trace,
-            )
-        return value
+        self.x_best, self.f_best = trace.best_x, trace.best_value
 
 
 @dataclass(frozen=True)
@@ -125,7 +109,36 @@ class OptimizerConfig:
     to_dict = fields.to_dict
 
 
-def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
+def _minimizer(method):
+    """Wrap ``method(fn, x0, cfg, seed, trace)``, one algorithm, as the public
+    ``(f, x0, cfg, seed=None) -> (x_best, f_best, trace)``: ``fn`` records each
+    call of ``f`` in ``trace`` and raises :class:`OptimizationAbort` at the
+    first non-finite value."""
+
+    def run(f, x0, cfg: OptimizerConfig, seed=None):
+        x0 = np.array(x0, dtype=float)
+        if x0.ndim != 1 or x0.size < 1:
+            raise ValueError("x0 must be a non-empty 1-D vector")
+        trace = Trace()
+
+        def fn(x: np.ndarray) -> float:
+            value = float(f(x))
+            trace.append(x, value)
+            if not math.isfinite(value):
+                raise OptimizationAbort(f"objective returned {value} at evaluation "
+                                        f"{len(trace) - 1}", trace)
+            return value
+
+        method(fn, x0, cfg, seed, trace)
+        return trace.best_x, trace.best_value, trace
+
+    run.__name__ = run.__qualname__ = method.__name__
+    run.__doc__ = method.__doc__
+    return run
+
+
+@_minimizer
+def spsa_minimize(fn, x, cfg: OptimizerConfig, seed, trace: Trace):
     """Simultaneous-perturbation descent: two evaluations per iteration.
 
     The gradient estimate at step k is (f(x+c_k D) - f(x-c_k D)) / (2 c_k)
@@ -135,11 +148,6 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     ``spsa_target_step`` per component.
     """
     rng = np.random.default_rng(seed)
-    trace = Trace()
-    fn = _TracedObjective(f, trace)
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("x0 must be a non-empty 1-D vector")
     a = cfg.spsa_a
     big_a = cfg.spsa_stability
     if cfg.spsa_calibrate and cfg.spsa_calibration_pairs > 0:
@@ -161,7 +169,6 @@ def spsa_minimize(f, x0, cfg: OptimizerConfig, seed=None):
         fm = fn(x - ck * delta)
         # 1/delta_i = delta_i for Rademacher entries
         x = x - ak * (fp - fm) / (2.0 * ck) * delta
-    return trace.best_x, trace.best_value, trace
 
 
 # COBYLA simplex-acceptability bounds: each edge at most _COBYLA_BETA * rho
@@ -171,7 +178,8 @@ _COBYLA_ALPHA = 0.25
 _COBYLA_BETA = 2.1
 
 
-def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
+@_minimizer
+def cobyla_minimize(fn, x0, cfg: OptimizerConfig, seed, trace: Trace):
     """Linear-approximation trust-region descent over an (n+1)-simplex.
 
     Each iteration either repairs simplex geometry (one evaluation at
@@ -188,16 +196,9 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     most ``_COBYLA_BETA * rho`` long and at least ``_COBYLA_ALPHA * rho``
     from that span. The interpolated gradient is E^-1 (f_j - f_0).
     """
-    del seed  # deterministic method; accepted for interface uniformity
-    trace = Trace()
-    fn = _TracedObjective(f, trace)
-    x0 = np.array(x0, dtype=float)
-    n = x0.size
-    if x0.ndim != 1 or n < 1:
-        raise ValueError("x0 must be a non-empty 1-D vector")
     rho = cfg.rhobeg
     rhoend = cfg.tolerance
-    pts = np.vstack([x0, x0 + rho * np.eye(n)])
+    pts = np.vstack([x0, x0 + rho * np.eye(x0.size)])
     vals = np.array([fn(p) for p in pts])
     for _ in range(cfg.max_iterations):
         order = vals.argsort()
@@ -225,7 +226,6 @@ def cobyla_minimize(f, x0, cfg: OptimizerConfig, seed=None):
             if rho <= rhoend:
                 break
             rho = max(0.5 * rho, rhoend)
-    return trace.best_x, trace.best_value, trace
 
 
 def _cobyla_geometry(edges: np.ndarray, dvals: np.ndarray, rho: float):
@@ -258,29 +258,25 @@ def _cobyla_geometry(edges: np.ndarray, dvals: np.ndarray, rho: float):
     return g, (int(bad), -direction if g @ direction > 0 else direction)
 
 
-def shrink_simplex(points: list[np.ndarray], factor: float) -> list[np.ndarray]:
-    """Pull every non-best vertex toward points[0] by the given factor."""
-    best = points[0]
-    return [best.copy()] + [best + factor * (p - best) for p in points[1:]]
+def shrink_simplex(points: np.ndarray, factor: float) -> np.ndarray:
+    """A copy of the simplex whose rows after row 0 (the best vertex) are
+    pulled toward it by the given factor."""
+    pts = np.array(points, dtype=float)
+    pts[1:] = pts[0] + factor * (pts[1:] - pts[0])
+    return pts
 
 
-def nelder_mead_minimize(f, x0, cfg: OptimizerConfig, seed=None):
-    """Standard downhill simplex with reflect/expand/contract/shrink."""
-    del seed
-    trace = Trace()
-    fn = _TracedObjective(f, trace)
-    x0 = np.array(x0, dtype=float)
-    n = x0.size
-    if x0.ndim != 1 or n < 1:
-        raise ValueError("x0 must be a non-empty 1-D vector")
+@_minimizer
+def nelder_mead_minimize(fn, x0, cfg: OptimizerConfig, seed, trace: Trace):
+    """Standard downhill simplex with reflect/expand/contract/shrink. The
+    vertices are the rows of one array, sorted by value at each iteration."""
     alpha, gamma = cfg.nm_reflection, cfg.nm_expansion
     beta, sigma = cfg.nm_contraction, cfg.nm_shrink
-    pts = [x0.copy()] + [x0 + cfg.nm_step * np.eye(n)[i] for i in range(n)]
-    vals = [fn(p) for p in pts]
+    pts = np.vstack([x0, x0 + cfg.nm_step * np.eye(x0.size)])
+    vals = np.array([fn(p) for p in pts])
     for _ in range(cfg.max_iterations):
-        order = np.argsort(vals)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
+        order = vals.argsort()
+        pts, vals = pts[order], vals[order]
         if vals[-1] - vals[0] < cfg.tolerance:
             break
         centroid = np.mean(pts[:-1], axis=0)
@@ -304,8 +300,7 @@ def nelder_mead_minimize(f, x0, cfg: OptimizerConfig, seed=None):
                 pts[-1], vals[-1] = contracted, fc
             else:
                 pts = shrink_simplex(pts, sigma)
-                vals = [vals[0]] + [fn(p) for p in pts[1:]]
-    return trace.best_x, trace.best_value, trace
+                vals[1:] = [fn(p) for p in pts[1:]]
 
 
 _BRACKET_EXPANSIONS = 40
@@ -353,7 +348,8 @@ def _golden_section(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def powell_minimize(f, x0, cfg: OptimizerConfig, seed=None):
+@_minimizer
+def powell_minimize(fn, x, cfg: OptimizerConfig, seed, trace: Trace):
     """Powell's direction-set method with golden-section line searches.
 
     Cycles exact-ish 1-D minimizations along a direction set seeded with
@@ -361,14 +357,7 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, seed=None):
     decrease is replaced by the cycle's net displacement. Terminates when
     a full cycle improves the objective by less than ``tolerance``.
     """
-    del seed
-    trace = Trace()
-    fn = _TracedObjective(f, trace)
-    x = np.array(x0, dtype=float)
-    n = x.size
-    if x.ndim != 1 or n < 1:
-        raise ValueError("x0 must be a non-empty 1-D vector")
-    directions = [np.eye(n)[i].copy() for i in range(n)]
+    directions = list(np.eye(x.size))
     fx = fn(x)
 
     def line_minimize(x, fx, direction):
@@ -404,7 +393,6 @@ def powell_minimize(f, x0, cfg: OptimizerConfig, seed=None):
             net = net / norm
             x, fx = line_minimize(x, fx, net)
             directions[largest_i] = net
-    return trace.best_x, trace.best_value, trace
 
 
 _DISPATCH = {

@@ -82,17 +82,19 @@ _ROW_MEASURES = {
 
 def batch_average_similarity(batch, measure="jt") -> np.ndarray:
     """Per-vector mean "jt" or "sqrtdot" similarity against the whole
-    batch, self included."""
+    batch, self included.
+
+    Each vector's row of measures is built and averaged on its own, so
+    memory stays O(m d) for m vectors of length d; both measures are
+    elementwise symmetric, so each row equals that row of the m x m matrix.
+    """
     row_fn = _ROW_MEASURES.get(measure)
     if row_fn is None:
         raise ValueError(f"unknown measure {measure!r}; use 'jt' or 'sqrtdot'")
     vectors = np.array([probability_vector(b) for b in batch])
     if not len(vectors):
         raise ValueError("empty batch")
-    sims = np.zeros((len(vectors), len(vectors)))
-    for i, u in enumerate(vectors):
-        sims[i, i:] = sims[i:, i] = row_fn(u, vectors[i:])
-    return sims.mean(axis=1)
+    return np.array([row_fn(u, vectors).mean() for u in vectors])
 
 
 def classify_energy(energy: float, bands: EnergyBands | None = None) -> str:
