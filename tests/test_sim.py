@@ -11,10 +11,14 @@ from h2vqe.ansatz import AnsatzSpec, Circuit, Gate, build_circuit, parameter_cou
 from h2vqe.pauli import MeasurementGroup, group_terms, h2_2qubit, h2_4qubit
 from h2vqe.cli import derive_run_seed
 from h2vqe.sim import (
+    DEFAULT_P1,
+    DEFAULT_P2,
     CountsVector,
+    _apply_pending,
     _confusion_maps,
     _cx_permutation,
     _gate_map,
+    _interleaved_index,
     _superop,
     _walk_from_zero,
     _walk_setting,
@@ -640,6 +644,119 @@ class TestWalker:
                 assert (run_noisy(circ, 256, [g], noise, state=state)
                         == run_noisy(circ, 256, [g], noise, state=kept))
                 assert np.array_equal(state, kept)
+
+
+def random_gates(n, rng, count=24):
+    """Seeded random ry, rz, h and cx gates on n qubits, half of them CXs.
+
+    On three or more qubits a fixed stretch sits in the middle: a map left
+    pending before a CX run, one-qubit gates inside the run on a qubit it
+    has moved and on one it has not, and a CX on the qubit whose map was
+    pending before the run."""
+    def one(name, q):
+        return Gate(name, (q,), None if name == "h" else float(rng.uniform(-4, 4)))
+
+    def some(count):
+        gates = []
+        for _ in range(count):
+            if rng.random() < 0.5:
+                c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+                gates.append(Gate("cx", (c, t)))
+            else:
+                gates.append(one(str(rng.choice(["ry", "rz", "h"])), int(rng.integers(n))))
+        return gates
+
+    middle = [] if n < 3 else [
+        one("ry", 2), Gate("cx", (0, 1)), one("rz", 2), Gate("cx", (1, 0)),
+        Gate("cx", (2, 0)), one("ry", 0), Gate("cx", (0, 1)),
+    ]
+    return Circuit(n, tuple(some(count // 2) + middle + some(count - count // 2)))
+
+
+def per_cx_walk(r, gates, n, k, f1=1.0, f2=1.0):
+    """Reference walk: the walker's map fusion and flush order, with each CX
+    applied as its own gather at the point where it is met."""
+    i, pending = np.arange(2**n), {}
+    for gate in gates:
+        if gate.name == "cx":
+            for q in gate.qubits:
+                if q in pending:
+                    r = _apply_pending(r, q, *pending.pop(q), n, k)
+            c, t = gate.qubits
+            flip = i ^ (((i >> c) & 1) << t)
+            if k == 4:
+                index = _interleaved_index(n)
+                perm = np.empty(4**n, dtype=np.intp)
+                perm[index] = index[flip][:, flip]
+                flip = perm
+            r = r[flip]
+            for q in gate.qubits:
+                pending[q] = (None, f2)
+        else:
+            (q,) = gate.qubits
+            m, f = pending.get(q, (None, 1.0))
+            u = _gate_map(gate, k)
+            pending[q] = (u if m is None else u @ m, f * f1)
+    for q, (m, f) in pending.items():
+        r = _apply_pending(r, q, m, f, n, k)
+    return r
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+GATE_RATES = {"p2=0": (DEFAULT_P1, 0.0), "default": (DEFAULT_P1, DEFAULT_P2)}
+
+
+class TestCxRuns:
+    """Walks whose CXs form runs give, bit for bit and in the same dtype,
+    the arrays of the reference walk that gathers once per CX."""
+
+    @pytest.mark.parametrize("form, ent", [
+        ("ry", "circular"), ("ry", "full"), ("ryrz", "circular"), ("ryrz", "full")])
+    def test_walk_groups(self, form, ent):
+        rng = np.random.default_rng(900)
+        p2_zero = NoiseModel(gate_enabled=True, p2=0.0)  # rho, whose runs compose
+        for n in (6, 7, 8):
+            spec = AnsatzSpec(form, ent, 2, n)
+            body = build_circuit(spec, rng.uniform(-4, 4, parameter_count(spec)))
+            tails = [random_rotation(n, rng) for _ in range(3)]
+            for noise in (NoiseModel(), p2_zero):
+                k, f1, f2 = _walk_setting(noise)
+                start = np.zeros(k**n)
+                start[0] = 1.0
+                ansatz = per_cx_walk(start, body.gates, n, k, f1, f2)
+                for tail, state in zip(tails, walk_groups(body, tails, noise)):
+                    assert_same_bits(state, per_cx_walk(ansatz, tail.gates, n, k, f1, f2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_statevector(self, n):
+        rng = np.random.default_rng(910 + n)
+        for _ in range(8):
+            circ = random_gates(n, rng)
+            expected = per_cx_walk(zero_state(n).real, circ.gates, n, 2)
+            assert_same_bits(statevector(circ), expected.astype(complex, copy=False))
+
+    @pytest.mark.parametrize("rates", list(GATE_RATES))
+    def test_density_matrix(self, rates):
+        p1, p2 = GATE_RATES[rates]
+        noise = NoiseModel(gate_enabled=True, p1=p1, p2=p2)
+        _, f1, f2 = _walk_setting(noise)
+        rng = np.random.default_rng(920)
+        circuits = [random_gates(n, rng) for n in (2, 3, 4, 5, 6) for _ in range(3)]
+        for form in ("ry", "ryrz"):
+            for ent in ("linear", "circular", "full"):
+                spec = AnsatzSpec(form, ent, 2, 5)
+                circuits.append(build_circuit(
+                    spec, rng.uniform(-4, 4, parameter_count(spec))
+                ).concat(random_rotation(5, rng)))
+        for circ in circuits:
+            n = circ.n_qubits
+            start = np.zeros(4**n)
+            start[0] = 1.0
+            rho = per_cx_walk(start, circ.gates, n, 4, f1, f2)[_interleaved_index(n)]
+            assert_same_bits(density_matrix(circ, noise), rho.astype(complex, copy=False))
 
 
 class TestCountsVector:
