@@ -344,6 +344,8 @@ def cmd_run(args) -> int:
         json.dump(doc, fh, indent=1)
     print(f"energy {result.energy:.4f} Ha  band {result.band}  "
           f"evaluations {result.evaluations}")
+    if result.stopped:
+        print(f"stopped: {result.stopped}", file=sys.stderr)
     return 0 if result.complete else 1
 
 

@@ -23,9 +23,9 @@ one-qubit gates wait, fused into one k x k map, until a CX touches the
 qubit or the circuit ends; a flush is one matmul on that axis. On rho a
 gate U acts as U (x) U*, and a flush also applies the depolarizing map
 D(f) of the errors the qubit collected, which commutes with every unitary
-on its own qubit. A CX is a cached gather of the entries. The walk starts
-in float64 and turns complex at the first rz, so an ry ansatz with H
-post-rotations never does complex arithmetic.
+on its own qubit. Each run of CXs is one cached gather of the entries. The
+walk starts in float64 and turns complex at the first rz, so an ry ansatz
+with H post-rotations never does complex arithmetic.
 
 An evaluation's G measurement groups share one ansatz: :func:`walk_groups`
 walks it once, flushed, then walks each group's H tail from that array,
@@ -39,10 +39,10 @@ Without ``state``, ``run_noisy`` walks the whole circuit itself.
 Statevectors on at most DENSE_ANSATZ_QUBITS qubits have a second form,
 :class:`DenseAnsatz`: an ansatz's rotation layers as 2^n x 2^n Kronecker
 products (the first, which acts on |0...0>, only as the product state it
-makes), its entangling layers as composed gathers and every group's H
-tail in one stacked matrix, applied by matrix-vector products. It too
-rounds differently from a full walk, matching its probabilities to a few
-ulps rather than bit for bit.
+makes), its entangling layers as the walker's CX-run gathers and every
+group's H tail in one stacked matrix, applied by matrix-vector products.
+It too rounds differently from a full walk, matching its probabilities to
+a few ulps rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -72,16 +73,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` made read-only, as every cached array is."""
     a.setflags(write=False)
     return a
-
-
-@lru_cache(maxsize=256)
-def _cx_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Read-only permutation: flip the target bit where control is set."""
-    i = np.arange(2**n)
-    flip = (i >> control) & 1 == 1
-    perm = i.copy()
-    perm[flip] ^= 1 << target
-    return _frozen(perm)
 
 
 @lru_cache(maxsize=64)
@@ -108,14 +99,18 @@ def _interleaved_index(n: int) -> np.ndarray:
     return _frozen(2 * spread[:, None] + spread[None, :])
 
 
-@lru_cache(maxsize=256)
-def _cx_layout_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Read-only gather that maps the flat rho to CX rho CX."""
-    index = _interleaved_index(n)
-    flip = _cx_permutation(n, control, target)
-    perm = np.empty(4**n, dtype=np.intp)
-    perm[index] = index[flip][:, flip]
-    return _frozen(perm)
+@lru_cache(maxsize=64)
+def _cx_gather(n: int, pairs: tuple, k: int) -> np.ndarray:
+    """Read-only gather g of a run of CXs, (control, target) pairs in order:
+    r[g] applies it to a statevector (k = 2) or the interleaved rho (k = 4)."""
+    i = gather = np.arange(2**n)
+    for control, target in pairs:  # r[a][b] is r[a[b]]
+        gather = gather[i ^ (((i >> control) & 1) << target)]
+    if k == 4:  # rho[i, j] <- rho[gather[i], gather[j]], at flat positions
+        index, flat = _interleaved_index(n), np.empty(4**n, dtype=np.intp)
+        flat[index] = index[gather][:, gather]
+        gather = flat
+    return _frozen(gather)
 
 
 _H_MAPS = {2: _frozen(_H_MATRIX), 4: _frozen(_superop(_H_MATRIX))}  # per axis width
@@ -158,23 +153,34 @@ def _walk(r: np.ndarray, gates, n: int, k: int, f1=1.0, f2=1.0) -> np.ndarray:
     trailing axes ride along), k = 4 the interleaved rho. ``pending`` maps
     qubit -> (product of its gate maps since its last flush, None before
     the first; product of f1 per one-qubit gate and f2 per CX), and the
-    final flush takes it in insertion order. ``r`` itself is never written to.
+    final flush takes it in insertion order. CXs wait as one open run, a
+    cached gather applied before a map on a qubit it moved is flushed, and
+    at the end. On the statevector a map on any other qubit is flushed ahead
+    of the run, which keeps that qubit's pairs of entries together, so the
+    two commute exactly. On rho the run goes first, since some BLAS kernels
+    round a complex 4 x 4 map's entries by position. ``r`` is never written to.
     """
     pending: dict = {}
-    cx_gather = _cx_permutation if k == 2 else _cx_layout_permutation
+    run = ()  # the CXs met but not yet applied
     for gate in gates:
         if gate.name == "cx":
             for q in gate.qubits:
                 if q in pending:
-                    r = _apply_pending(r, q, *pending.pop(q), n, k)
-            r = r[cx_gather(n, *gate.qubits)]
-            for q in gate.qubits:
+                    m, f = pending.pop(q)
+                    live = m is not None or f != 1.0
+                    if run and live and (k == 4 or any(q in cx for cx in run)):
+                        r, run = r[_cx_gather(n, run, k)], ()
+                    r = _apply_pending(r, q, m, f, n, k)
+            run += (tuple(gate.qubits),)
+            for q in gate.qubits:  # re-inserted even if inert: flush order
                 pending[q] = (None, f2)
         else:
             (q,) = gate.qubits
             m, f = pending.get(q, (None, 1.0))
             u = _gate_map(gate, k)
             pending[q] = (u if m is None else u @ m, f * f1)
+    if run:
+        r = r[_cx_gather(n, run, k)]
     for q, (m, f) in pending.items():
         r = _apply_pending(r, q, m, f, n, k)
     return r
@@ -546,16 +552,10 @@ class DenseAnsatz:
     """
 
     def __init__(self, layout, n: int, tails):
-        layers, self._gathers = [], []
-        for op in layout:
-            if isinstance(op, Gate):  # a CX, after the first rotation layer
-                if len(self._gathers) < len(layers):
-                    self._gathers.append(np.arange(2**n))
-                self._gathers[-1] = self._gathers[-1][_cx_permutation(n, *op.qubits)]
-            else:
-                if len(layers) == len(self._gathers):
-                    layers.append([])
-                layers[-1].append(op)
+        # rotation layers and CX runs alternate in the layout, rotations first
+        parts = [list(ops) for _, ops in groupby(layout, lambda op: type(op) is Gate)]
+        layers, runs = parts[::2], parts[1::2]
+        self._gathers = [_cx_gather(n, tuple(cx.qubits for cx in r), 2) for r in runs]
         count = sum(len(layer) for layer in layers)  # one parameter per rotation
         self._complex = any(name == "rz" for layer in layers for name, _, _ in layer)
         ij, qubit = np.arange(4**n), np.arange(n)[:, None]  # entry (i, j) at i 2^n + j

@@ -357,7 +357,11 @@ class VqeResult:
     trace: Trace
     final_counts: tuple[CountsVector, ...]
     band: str
-    complete: bool = True
+    stopped: str = ""  # why the optimizer stopped early, "" if it did not
+
+    @property
+    def complete(self) -> bool:
+        return not self.stopped
 
     @property
     def evaluations(self) -> int:
@@ -391,14 +395,13 @@ def run_vqe(cfg: VqeConfig) -> VqeResult:
         return evaluator.evaluate(x, seed).energy
 
     opt_rng = np.random.default_rng(seed_entries(cfg.seed) + [_SEED_OPT])
+    stopped = ""
     try:
         x_best, f_best, trace = minimize(objective, x0, cfg.optimizer, seed=opt_rng)
-        complete = True
     except OptimizationAbort as exc:
-        trace = exc.trace
+        trace, stopped = exc.trace, str(exc)
         x_best = exc.x_best if exc.x_best is not None else x0
         f_best = exc.f_best
-        complete = False
     if math.isfinite(f_best):
         final = evaluator.evaluate(x_best, seed_entries(cfg.seed) + [_SEED_FINAL])
         band = classify_energy(f_best)
@@ -412,5 +415,5 @@ def run_vqe(cfg: VqeConfig) -> VqeResult:
         trace=trace,
         final_counts=final_counts,
         band=band,
-        complete=complete,
+        stopped=stopped,
     )

@@ -326,6 +326,26 @@ class TestRun:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "result.json")
 
+    def test_aborted_run_says_why(self, tmp_path, capsys, monkeypatch):
+        from h2vqe.vqe import EnergyEvaluator
+
+        real, calls = EnergyEvaluator.evaluate, []
+
+        def nan_at_third(self, params, seed):
+            est = real(self, params, seed)
+            calls.append(seed)
+            if len(calls) == 3:
+                object.__setattr__(est, "energy", math.nan)
+            return est
+
+        monkeypatch.setattr(EnergyEvaluator, "evaluate", nan_at_third)
+        path = write_json(tmp_path / "cfg.json", small_vqe_config())
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "stopped: objective returned nan at evaluation 2\n")
+        result = json.load(open(tmp_path / "result.json"))
+        assert result["complete"] is False and result["evaluations"] == 3
+
     def test_identity_only_hamiltonian(self, tmp_path):
         """No measurement groups: the energy is the identity coefficient."""
         ham = str(tmp_path / "h.json")

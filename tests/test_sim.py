@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from h2vqe.sim import (
     CountsVector,
     _apply_pending,
     _confusion_maps,
-    _cx_permutation,
+    _cx_gather,
     _gate_map,
     _interleaved_index,
     _superop,
@@ -570,9 +571,24 @@ class TestWalker:
         assert np.abs(statevector(with_rz) - state).max() <= 1e-15
 
     def test_cx_permutation_read_only(self):
-        perm = _cx_permutation(3, 0, 2)
+        perm = _cx_gather(3, ((0, 2),), 2)
         with pytest.raises(ValueError):
             perm[0] = 1
+
+    def test_one_cached_gather_per_cx_run(self):
+        # each full-entanglement layer is one run of 120 CXs, so one cache
+        # entry of 2^16 indices; a gather per pair would hold 120 (61 MiB)
+        spec = AnsatzSpec("ry", "full", 2, 16)
+        circ = build_circuit(spec, np.linspace(-1.3, 1.1, parameter_count(spec)))
+        _cx_gather.cache_clear()
+        tracemalloc.start()
+        try:
+            _walk_from_zero(circ, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _cx_gather.cache_info().currsize == 1
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("arm", list(PINNED_ARMS))
     @pytest.mark.parametrize("form, ent", [("ry", "linear"), ("ryrz", "circular")])
