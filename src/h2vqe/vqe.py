@@ -6,13 +6,16 @@ interpreting the bundled reference tuples is resolved empirically by
 reference set A, and that winner (Q0_LEFTMOST) is also the order used for
 every serialized counts artifact.
 
-:class:`EnergyEvaluator` draws each measurement group's counts from that
-group's circuit, the ansatz followed by its H gates. Under active gate noise,
-or above DENSE_ANSATZ_QUBITS qubits, :func:`~h2vqe.sim.walk_groups` walks the
-ansatz once and each group's H gates from it. Other evaluations take the group
-statevectors from the evaluator's :class:`~h2vqe.sim.DenseAnsatz`. Either way
-the group states match a full walk of each group's circuit to a few ulps, so
-the counts equal a full walk's in practice, not by construction.
+:meth:`EnergyEvaluator.evaluate` is three seams in turn. ``_distributions``
+gives each group's circuit (the ansatz followed by its H gates) and final
+state: under active gate noise, or above DENSE_ANSATZ_QUBITS qubits,
+:func:`~h2vqe.sim.walk_groups` walks the ansatz once and each group's H gates
+from it, and other evaluations take them from the evaluator's
+:class:`~h2vqe.sim.DenseAnsatz`. ``_sample`` draws each group's counts with
+``run_noisy(..., state=)``, and ``_Estimator.estimate`` sums the energy. The
+group states match a full walk to a few ulps, so the counts equal a full
+walk's in practice, not by construction. The benchmark's trace still wraps
+``build_circuit``, ``Circuit.concat`` and ``run_noisy`` by name.
 """
 
 from __future__ import annotations
@@ -310,25 +313,34 @@ class EnergyEvaluator:
         return self._seed_states[key]
 
     def evaluate(self, params, seed) -> EnergyEstimate:
-        """Sampled energy estimate; deterministic in (params, seed).
+        """Sampled energy estimate; deterministic in (params, seed). It is
+        :meth:`_distributions`, then :meth:`_sample`, then the estimator."""
+        counts = self._sample(*self._distributions(params), seed)
+        return self._estimator.estimate(counts, BitOrder.Q0_RIGHTMOST)
+
+    def _distributions(self, params):
+        """Each group's circuit and final state; draws nothing.
 
         ``build_circuit`` makes the ansatz circuit, and is where ``params``
         is checked: its length, then that every angle is finite. The final
         state of every group's circuit ``circuit.concat(rotation)`` comes from
         the evaluator's :class:`~h2vqe.sim.DenseAnsatz` (no gate noise, at most
         DENSE_ANSATZ_QUBITS qubits) or else from :func:`~h2vqe.sim.walk_groups`,
-        and ``run_noisy`` samples it. Those states match a full walk of the
-        group's circuit to a few ulps, so the counts equal that walk's in
-        practice. Group g draws the same stream as ``default_rng([*seed, g])``,
-        from one Generator set to its start, derived in blocks
-        (:meth:`_group_states`).
+        to a few ulps of a full walk of the group's circuit.
         """
         circuit = build_circuit(self.ansatz, params)
         group_circuits = [circuit.concat(rotation) for rotation in self._post_rotations]
         if self._dense is None:
-            finals = walk_groups(circuit, self._post_rotations, self.noise)
-        else:
-            finals = self._dense.amplitudes(params)
+            return group_circuits, walk_groups(circuit, self._post_rotations, self.noise)
+        return group_circuits, self._dense.amplitudes(params)
+
+    def _sample(self, group_circuits, finals, seed) -> tuple[CountsVector, ...]:
+        """Each group's counts, ``run_noisy`` of its final state; walks nothing.
+
+        Deterministic in (finals, seed). Group g draws the same stream as
+        ``default_rng([*seed, g])``, from one Generator set to its start,
+        derived in blocks (:meth:`_group_states`).
+        """
         states = self._group_states(seed_words(seed))
         self._rng = self._rng or np.random.default_rng()
         counts = []
@@ -338,7 +350,7 @@ class EnergyEvaluator:
                 "has_uint32": 0, "uinteger": 0}
             counts.append(run_noisy(group_circuit, self.shots, self._rng,
                                     self.noise, state=final))
-        return self._estimator.estimate(tuple(counts), BitOrder.Q0_RIGHTMOST)
+        return tuple(counts)
 
     def evaluate_analytic(self, params) -> float:
         """Exact-probability energy (no sampling, no noise); test oracle."""

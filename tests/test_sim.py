@@ -239,11 +239,13 @@ class TestRunNoisy:
         assert binomial_within_5_sigma(cv.counts[1], 9000, 2.0 / 3.0)
 
     def test_rounding_below_zero_is_sampled(self):
-        # an undone rotation with no error on it leaves diag(rho)[1] ~ -3e-17
+        # an undone rotation with no error on it leaves diag(rho)[1] ~ -3e-17 on
+        # some BLAS kernels and 0.0 on others, so the walk is replaced by such a
+        # rho, interleaved: its diagonal is entries 0 and 3
         circ = Circuit(1, (Gate("ry", (0,), 2.0), Gate("ry", (0,), -2.0)))
         noise = NoiseModel(gate_enabled=True, p1=0.0, p2=0.1)
-        assert density_matrix(circ, noise).diagonal().real[1] < 0
-        assert run_noisy(circ, 64, seed=1, noise=noise).counts == (64, 0)
+        rho = np.array([1.0 + 3e-17, 0.0, 0.0, -3e-17])
+        assert run_noisy(circ, 64, seed=1, noise=noise, state=rho).counts == (64, 0)
 
     @pytest.mark.parametrize("noise", [
         NoiseModel(), NoiseModel(readout_enabled=True, readout=(0.4, 0.1)),

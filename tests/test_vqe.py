@@ -836,3 +836,89 @@ class TestDenseAnsatz:
         evaluator = EnergyEvaluator(h, AnsatzSpec(n_qubits=n), 64, noise)
         assert evaluator._dense is None
         evaluator.evaluate(np.linspace(-1, 1, evaluator.parameter_count()), [2])
+
+
+def zz_xx_hamiltonian(n):
+    """sum_q Z_q + sum_q X_q X_q+1 on n qubits."""
+    labels = ["I" * q + "Z" + "I" * (n - 1 - q) for q in range(n)]
+    labels += ["I" * q + "XX" + "I" * (n - 2 - q) for q in range(n - 1)]
+    return Hamiltonian(n, tuple(PauliTerm(1.0, PauliString.from_label(lab))
+                                for lab in labels))
+
+
+GATE_READOUT = NoiseModel(gate_enabled=True, readout_enabled=True)
+SEAM_ARMS = [
+    ("2q", 2, NoiseModel()),
+    ("4q", 4, NoiseModel()),
+    (None, DENSE_ANSATZ_QUBITS + 1, NoiseModel()),
+    ("2q", 2, GATE_READOUT),
+    ("4q", 4, GATE_READOUT),
+    ("2q", 2, NoiseModel(readout_enabled=True)),
+]
+SEAM_IDS = ["ideal-2q", "ideal-4q", f"ideal-{DENSE_ANSATZ_QUBITS + 1}q-walker",
+            "gate+readout-2q", "gate+readout-4q", "readout-2q"]
+
+
+def seam_evaluator(ham, n, noise):
+    h = zz_xx_hamiltonian(n) if ham is None else vqe_mod.get_hamiltonian(ham)
+    return EnergyEvaluator(h, AnsatzSpec(n_qubits=n), 256, noise)
+
+
+class TestEvaluatorSeams:
+    """``evaluate`` is the distribution seam, then the sampling seam, then
+    the estimator, each a method the evaluator owns."""
+
+    @pytest.mark.parametrize("ham, n, noise", SEAM_ARMS, ids=SEAM_IDS)
+    def test_composed_seams_give_evaluate_bit_for_bit(self, ham, n, noise):
+        composed, whole = seam_evaluator(ham, n, noise), seam_evaluator(ham, n, noise)
+        assert (composed._dense is None) == (noise.gate_active or n > DENSE_ANSATZ_QUBITS)
+        rng = np.random.default_rng(29)
+        for i, seed in enumerate([[7, 1, 0], [7, 1, 1], 12, [], [7, 3]]):
+            params = rng.uniform(-math.pi, math.pi, whole.parameter_count())
+            circuits, finals = composed._distributions(params)
+            counts = composed._sample(circuits, finals, seed)
+            est = composed._estimator.estimate(counts, BitOrder.Q0_RIGHTMOST)
+            ref = whole.evaluate(params, seed)
+            assert repr(est.energy) == repr(ref.energy), i
+            assert est.group_counts == ref.group_counts, i
+            assert len(est.values) == len(ref.values) == len(whole.groups)
+            for v, w in zip(est.values, ref.values):
+                np.testing.assert_array_equal(v, w)
+
+    @pytest.mark.parametrize("ham, n, noise", [SEAM_ARMS[1], SEAM_ARMS[4]],
+                             ids=["ideal-4q", "gate+readout-4q"])
+    def test_each_seam_does_only_its_own_part(self, monkeypatch, ham, n, noise):
+        def refused(*args, **kwargs):
+            raise AssertionError("called across the seam")
+
+        evaluator = seam_evaluator(ham, n, noise)
+        params = np.linspace(-0.9, 1.4, evaluator.parameter_count())
+        expected = evaluator.evaluate(params, [3, 5]).group_counts
+        with monkeypatch.context() as m:
+            m.setattr(vqe_mod, "run_noisy", refused)
+            circuits, finals = evaluator._distributions(params)
+        assert len(circuits) == len(finals) == len(evaluator.groups)
+        monkeypatch.setattr(vqe_mod, "walk_groups", refused)
+        monkeypatch.setattr(DenseAnsatz, "amplitudes", refused)
+        assert evaluator._sample(circuits, finals, [3, 5]) == expected
+
+    @pytest.mark.parametrize("ham, n, noise", [SEAM_ARMS[1], SEAM_ARMS[4]],
+                             ids=["ideal-4q", "gate+readout-4q"])
+    def test_evaluate_calls_each_seam_once_through_the_class(self, monkeypatch,
+                                                             ham, n, noise):
+        calls = {"_distributions": 0, "_sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(EnergyEvaluator, name,
+                                counted(name, getattr(EnergyEvaluator, name)))
+        evaluator = seam_evaluator(ham, n, noise)
+        params = np.linspace(-0.2, 0.7, evaluator.parameter_count())
+        for k in range(1, 4):
+            evaluator.evaluate(params, [k])
+            assert calls == {"_distributions": k, "_sample": k}
