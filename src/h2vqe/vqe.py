@@ -12,10 +12,11 @@ state: under active gate noise, or above DENSE_ANSATZ_QUBITS qubits,
 :func:`~h2vqe.sim.walk_groups` walks the ansatz once and each group's H gates
 from it, and other evaluations take them from the evaluator's
 :class:`~h2vqe.sim.DenseAnsatz`. ``_sample`` draws each group's counts with
-``run_noisy(..., state=)``, and ``_Estimator.estimate`` sums the energy. The
-group states match a full walk to a few ulps, so the counts equal a full
-walk's in practice, not by construction. The benchmark's trace still wraps
-``build_circuit``, ``Circuit.concat`` and ``run_noisy`` by name.
+``run_noisy(..., state=)``, and ``_Estimator.estimate`` sums them as integers
+against int16 sign rows. The group states match a full walk to a few ulps,
+so the counts equal a full walk's in practice, not by construction. The oracle
+``evaluate_analytic`` reads the noiseless ``_distributions``. The benchmark's
+trace still wraps ``build_circuit``, ``Circuit.concat`` and ``run_noisy`` by name.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -52,13 +54,11 @@ from .sim import (
     CountsVector,
     DenseAnsatz,
     NoiseModel,
-    apply_circuit,
     pcg64_seed_states,
     post_rotations,
     run_noisy,
     seed_entries,
     seed_words,
-    statevector,
     walk_groups,
 )
 from .similarity import BAND_ERRONEOUS, classify_energy
@@ -81,15 +81,14 @@ _SEED_BLOCK = 64  # consecutive evaluations whose group seeds are derived at onc
 RESOLVED_BIT_ORDER = BitOrder.Q0_LEFTMOST
 
 
-def _term_signs(term: PauliTerm, n: int) -> np.ndarray:
-    """(-1)^(number of set outcome bits in the term's support), per outcome.
-
-    Outcomes are indexed in the Q0_RIGHTMOST order.
-    """
+def _term_signs(terms: tuple[PauliTerm, ...], n: int) -> np.ndarray:
+    """Int16 row t: (-1)^(number of set outcome bits in term t's support), per
+    outcome, with outcomes indexed in the Q0_RIGHTMOST order."""
     outcomes = np.arange(2**n)
-    signs = np.ones(2**n)
-    for q in term.string.support:
-        signs *= 1 - 2 * ((outcomes >> q) & 1)
+    signs = np.ones((len(terms), 2**n), dtype=np.int16)
+    for row, term in zip(signs, terms):
+        for q in term.string.support:
+            row *= 1 - 2 * ((outcomes >> q) & 1)
     return signs
 
 
@@ -113,7 +112,7 @@ class EnergyEstimate:
 
 
 class _Estimator:
-    """Per-group sign matrices, coefficients and term labels, built once.
+    """Per-group int16 sign matrices, coefficients and term labels, built once.
 
     The energy is the identity constant plus, group by group, the
     coefficient vector dotted with the group's expectation vector.
@@ -121,18 +120,18 @@ class _Estimator:
 
     def __init__(self, groups, identity: float, n_qubits: int):
         self.identity = identity
-        self.signs = [
-            np.array([_term_signs(t, n_qubits) for t in g.terms]) for g in groups
-        ]
+        self.signs = [_term_signs(g.terms, n_qubits) for g in groups]
         self.coeffs = [np.array([t.coefficient for t in g.terms]) for g in groups]
         self.labels = tuple(tuple(t.string.to_label() for t in g.terms) for g in groups)
 
-    def energy(self, probs_per_group) -> tuple[float, list[np.ndarray]]:
-        """Energy and per-group expectations from Q0_RIGHTMOST probabilities."""
+    def energy(self, rows, scales=None) -> tuple[float, list[np.ndarray]]:
+        """Energy and per-group expectations ``(signs @ x) / scale`` of Q0_RIGHTMOST
+        rows: counts over shots (exact sums, one rounding) or probabilities over 1."""
         energy = self.identity
         values = []
-        for signs, coeffs, probs in zip(self.signs, self.coeffs, probs_per_group):
-            v = signs @ probs
+        for signs, coeffs, x, scale in zip(self.signs, self.coeffs, rows,
+                                           scales or repeat(1)):
+            v = (signs @ x) / scale
             energy += float(coeffs @ v)
             values.append(v)
         return float(energy), values
@@ -144,7 +143,10 @@ class _Estimator:
         rightmost = counts_per_group
         if BitOrder(conv) is not BitOrder.Q0_RIGHTMOST:
             rightmost = [cv.reordered(conv) for cv in counts_per_group]
-        energy, values = self.energy(cv.probabilities() for cv in rightmost)
+        shots = [cv.shots for cv in rightmost]
+        counts = [np.array(cv.counts, np.int16 if s < 2**15 else np.int64)
+                  for cv, s in zip(rightmost, shots)]  # int64 would widen the rows
+        energy, values = self.energy(counts, shots)
         return EnergyEstimate(energy, counts_per_group, self.labels, tuple(values))
 
 
@@ -318,20 +320,21 @@ class EnergyEvaluator:
         counts = self._sample(*self._distributions(params), seed)
         return self._estimator.estimate(counts, BitOrder.Q0_RIGHTMOST)
 
-    def _distributions(self, params):
+    def _distributions(self, params, noise=None):
         """Each group's circuit and final state; draws nothing.
 
         ``build_circuit`` makes the ansatz circuit, and is where ``params``
         is checked: its length, then that every angle is finite. The final
         state of every group's circuit ``circuit.concat(rotation)`` comes from
         the evaluator's :class:`~h2vqe.sim.DenseAnsatz` (no gate noise, at most
-        DENSE_ANSATZ_QUBITS qubits) or else from :func:`~h2vqe.sim.walk_groups`,
-        to a few ulps of a full walk of the group's circuit.
+        DENSE_ANSATZ_QUBITS qubits) or else from :func:`~h2vqe.sim.walk_groups`
+        under ``noise`` (None: the evaluator's), to a few ulps of a full walk.
         """
         circuit = build_circuit(self.ansatz, params)
         group_circuits = [circuit.concat(rotation) for rotation in self._post_rotations]
         if self._dense is None:
-            return group_circuits, walk_groups(circuit, self._post_rotations, self.noise)
+            noise = self.noise if noise is None else noise
+            return group_circuits, walk_groups(circuit, self._post_rotations, noise)
         return group_circuits, self._dense.amplitudes(params)
 
     def _sample(self, group_circuits, finals, seed) -> tuple[CountsVector, ...]:
@@ -353,13 +356,9 @@ class EnergyEvaluator:
         return tuple(counts)
 
     def evaluate_analytic(self, params) -> float:
-        """Exact-probability energy (no sampling, no noise); test oracle."""
-        circuit = build_circuit(self.ansatz, params)
-        state = statevector(circuit)
-        return self._estimator.energy(
-            np.abs(apply_circuit(state, rotation)) ** 2
-            for rotation in self._post_rotations
-        )[0]
+        """Exact energy of the noiseless ``_distributions`` states; the test oracle."""
+        _, finals = self._distributions(params, NoiseModel())
+        return self._estimator.energy(np.abs(final) ** 2 for final in finals)[0]
 
 
 @dataclass

@@ -196,8 +196,8 @@ class TestCobyla:
         )
         cfg = OptimizerConfig(method="cobyla", max_iterations=150)
         _, f_best, trace = cobyla_minimize(evaluator.evaluate_analytic, x0, cfg)
-        assert len(trace) == 90
-        assert f_best == pytest.approx(-1.867109366563296, abs=1e-12)
+        assert len(trace) == 92
+        assert f_best == pytest.approx(-1.8671093665842096, abs=1e-12)
 
     @pytest.mark.parametrize("shots, n_evals, energy, best", [
         # 16 shots: vertex values tie exactly, where reordering would show

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from itertools import takewhile
 
 import numpy as np
@@ -35,6 +36,7 @@ from h2vqe.sim import (
     _walk_from_zero,
     post_rotations,
     run_noisy,
+    walk_groups,
 )
 from h2vqe.vqe import (
     BitOrder,
@@ -196,6 +198,55 @@ class TestEnergyFromCounts:
         with pytest.raises(ValueError, match="YX"):
             energy_from_counts(h, groups, [zeros] * len(groups),
                                BitOrder.Q0_RIGHTMOST)
+
+
+def sign_rows(group, n):
+    """Per term, its +-1 sign on each of the 2^n outcomes, as Python ints."""
+    masks = [sum(1 << q for q in term.string.support) for term in group.terms]
+    return [[-1 if bin(i & mask).count("1") % 2 else 1 for i in range(2**n)]
+            for mask in masks]
+
+
+class TestIntegerCounts:
+    """Each term's expectation is its exact integer sum of signed counts,
+    divided once by the shots."""
+
+    def sampled(self, shots, noise):
+        cfg = VqeConfig(hamiltonian="4q", ansatz=AnsatzSpec(n_qubits=4), shots=shots,
+                        noise=noise)
+        evaluator = EnergyEvaluator.from_config(cfg)
+        rng = np.random.default_rng(shots)
+        for i in range(20):
+            params = rng.uniform(-math.pi, math.pi, evaluator.parameter_count())
+            yield evaluator, evaluator.evaluate(params, [shots, i])
+
+    @pytest.mark.parametrize("shots", [1000, 3, 4095, 8191])
+    def test_expectations_are_correctly_rounded(self, shots):
+        for evaluator, est in self.sampled(shots, NoiseModel(readout_enabled=True)):
+            for group, cv, v in zip(evaluator.groups, est.group_counts, est.values):
+                sums = [sum(s * c for s, c in zip(row, cv.counts))
+                        for row in sign_rows(group, 4)]
+                assert v.tolist() == [float(Fraction(s, shots)) for s in sums]
+
+    @pytest.mark.parametrize("shots", [1, 2, 1024, 8192])
+    def test_power_of_two_shots_match_float_rows(self, shots):
+        for evaluator, est in self.sampled(shots, NoiseModel()):
+            energy = evaluator.identity
+            for group, cv, v in zip(evaluator.groups, est.group_counts, est.values):
+                rows = np.array(sign_rows(group, 4), dtype=float)
+                ref = rows @ (np.array(cv.counts) / shots)
+                np.testing.assert_array_equal(v, ref)
+                energy += float(np.array([t.coefficient for t in group.terms]) @ ref)
+            assert repr(est.energy) == repr(float(energy))
+
+    def test_shots_beyond_int16(self):
+        # counts files carry any shot count; 40,000 does not fit int16 counts
+        h = vqe_mod.get_hamiltonian("2q")
+        groups, _ = group_terms(h)
+        counts = (CountsVector((40000, 0, 0, 0), 40000),
+                  CountsVector((10000,) * 4, 40000))
+        est = energy_from_counts(h, groups, counts, BitOrder.Q0_LEFTMOST)
+        assert repr(est.energy) == "-0.23038999999999998"
 
 
 class TestResolveBitOrder:
@@ -922,3 +973,36 @@ class TestEvaluatorSeams:
         for k in range(1, 4):
             evaluator.evaluate(params, [k])
             assert calls == {"_distributions": k, "_sample": k}
+
+
+ORACLE_ARMS = [SEAM_ARMS[1], SEAM_ARMS[2], SEAM_ARMS[4]]
+
+
+class TestAnalyticOracle:
+    """``evaluate_analytic`` reads the group states of the distribution seam
+    under the noiseless model."""
+
+    @pytest.mark.parametrize("ham, n, noise", ORACLE_ARMS,
+                             ids=[SEAM_IDS[1], SEAM_IDS[2], SEAM_IDS[4]])
+    def test_energy_of_noiseless_seam_states(self, monkeypatch, ham, n, noise):
+        walked = []
+
+        def spy(circuit, tails, walk_noise):
+            walked.append(walk_noise)
+            return walk_groups(circuit, tails, walk_noise)
+
+        monkeypatch.setattr(vqe_mod, "walk_groups", spy)
+        evaluator = seam_evaluator(ham, n, noise)
+        rng = np.random.default_rng(43)
+        for i in range(25):
+            params = rng.uniform(-math.pi, math.pi, evaluator.parameter_count())
+            if noise.gate_active:  # the twin statevector walk, outside the spy
+                circuit = build_circuit(evaluator.ansatz, params)
+                finals = walk_groups(circuit, evaluator._post_rotations, NoiseModel())
+            else:
+                _, finals = evaluator._distributions(params)
+            expected, _ = evaluator._estimator.energy(np.abs(f) ** 2 for f in finals)
+            assert repr(evaluator.evaluate_analytic(params)) == repr(expected), i
+        assert bool(walked) == (evaluator._dense is None)
+        # the gate-noise evaluator's oracle walks the statevector, never rho
+        assert not any(w.gate_active for w in walked)
