@@ -245,64 +245,18 @@ def to_dense(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and squared off-diagonal moduli of Hermitian ``a``'s Householder
-    tridiagonal form, by one rank-2 update of the trailing block per column, in
-    place. The off-diagonals' phases do not change the spectrum."""
-    n = a.shape[0]
-    e2 = np.empty(n - 1)
-    for k in range(n - 1):
-        x = a[k + 1:, k]
-        e2[k] = np.vdot(x, x).real
-        if k == n - 2 or e2[k] == 0.0:
-            continue  # a lone entry or a zero column needs no reflection
-        v = x.copy()
-        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * math.sqrt(e2[k])
-        v /= math.sqrt(np.vdot(v, v).real)
-        trailing = a[k + 1:, k + 1:]
-        p = trailing @ v
-        w = p - np.vdot(v, p).real * v
-        trailing -= 2.0 * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
-    return a.diagonal().real.copy(), e2
-
-
-def _sturm_bisect(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the real tridiagonal (d, e2), bisected all at once in the
-    Gershgorin interval: T - x has one negative pivot per eigenvalue below x
-    (Sturm), so eigenvalue j lies where the count passes j."""
-    n = d.size
-    e2_prev = np.concatenate(([0.0], e2))
-    radius = np.sqrt(e2_prev) + np.sqrt(np.concatenate((e2, [0.0])))
-    lo = np.full(n, (d - radius).min())
-    hi = np.full(n, (d + radius).max())
-    # eigenvalues may exceed every entry, so the stop is an ulp of the bounds
-    tol = 4.0 * np.spacing(max(abs(lo[0]), abs(hi[0])))
-    pivmin = np.finfo(float).tiny * max(1.0, e2.max(initial=0.0))
-    index = np.arange(n)
-    while (hi - lo).max() > tol:
-        mid = 0.5 * (lo + hi)
-        below = np.zeros(n, dtype=int)
-        q = np.ones(n)
-        for di, ei in zip(d, e2_prev):
-            q = di - mid - ei / q
-            q[q == 0.0] = -pivmin  # an exact zero pivot counts as negative
-            below += q < 0.0
-        upper = below > index
-        hi = np.where(upper, mid, hi)
-        lo = np.where(upper, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, real or complex, sorted ascending:
-    Householder tridiagonalization, then Sturm bisection."""
+    """All eigenvalues of a square, finite, Hermitian matrix, real or complex,
+    ascending: LAPACK's ``eigvalsh`` of its Hermitian part."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():  # before arithmetic that would warn on NaN
+        raise ValueError("matrix has non-finite entries")
     scale = max(np.abs(m).max(), 1.0)  # the largest entry, or 1 if smaller
     if np.abs(m - m.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
-    return np.sort(_sturm_bisect(*_tridiagonalize((m + m.conj().T) / 2)))
+    return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
 def group_terms(

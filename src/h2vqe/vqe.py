@@ -75,6 +75,8 @@ _SEED_OPT = 2
 _SEED_FINAL = 3
 _SEED_BLOCK = 64  # consecutive evaluations whose group seeds are derived at once
 
+_NOISELESS = NoiseModel()  # the model evaluate_analytic walks under
+
 
 # Winner of resolve_bit_order(), hardcoded for serialized artifacts; the
 # losing convention puts reference set A at -0.4202 Ha, 1.4 Ha off target.
@@ -280,7 +282,7 @@ class EnergyEvaluator:
         self._estimator = _Estimator(
             self.groups, self.identity, hamiltonian.n_qubits
         )
-        self._seed_states, self._next_words = {}, None  # see _group_states
+        self._seed_states = {}  # see _group_states
         self._rng = None  # one Generator, made at the first sampled evaluation
 
     @classmethod
@@ -294,12 +296,12 @@ class EnergyEvaluator:
 
     def _group_states(self, words: list[int]) -> list[tuple[int, int]]:
         """The PCG64 (state, inc) of ``np.random.default_rng([*words, g])`` per group g,
-        cached by the words. A miss at the words after the last derived ones
-        (last word plus one, below 2^32) derives the next _SEED_BLOCK seeds'
-        states at once, cut short at 2^32 - 1; any other miss, its own."""
+        cached by the words. A miss derives the block of _SEED_BLOCK seeds that
+        starts there (last word plus 0, 1, ..., cut short at 2^32 - 1) at once;
+        an empty seed, itself alone."""
         key = tuple(words)
         if key not in self._seed_states:
-            size = min(_SEED_BLOCK, 2**32 - key[-1]) if key == self._next_words else 1
+            size = min(_SEED_BLOCK, 2**32 - key[-1]) if key else 1
             keys = [(*key[:-1], key[-1] + i) for i in range(size)] if key else [key]
             groups = len(self._post_rotations)
             # column i * groups + g holds the words [*keys[i], g]
@@ -311,7 +313,6 @@ class EnergyEvaluator:
             flat = pcg64_seed_states(columns.reshape(len(key) + 1, size * groups))
             self._seed_states = {k: flat[i * groups:(i + 1) * groups]
                                  for i, k in enumerate(keys)}
-            self._next_words = (*keys[-1][:-1], keys[-1][-1] + 1) if key else None
         return self._seed_states[key]
 
     def evaluate(self, params, seed) -> EnergyEstimate:
@@ -357,7 +358,7 @@ class EnergyEvaluator:
 
     def evaluate_analytic(self, params) -> float:
         """Exact energy of the noiseless ``_distributions`` states; the test oracle."""
-        _, finals = self._distributions(params, NoiseModel())
+        _, finals = self._distributions(params, _NOISELESS)
         return self._estimator.energy(np.abs(final) ** 2 for final in finals)[0]
 
 

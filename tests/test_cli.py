@@ -17,6 +17,7 @@ from h2vqe.pauli import (
     Hamiltonian,
     PauliString,
     PauliTerm,
+    eigenvalues,
     group_terms,
     h2_4qubit,
     to_dense,
@@ -136,6 +137,23 @@ class TestEigen:
         assert len(capsys.readouterr().out.strip().splitlines()) == 256
         values = json.load(open(tmp_path / "eigenvalues.json"))["eigenvalues"]
         assert np.abs(np.array(values) - np.linalg.eigvalsh(m)).max() <= 1e-9
+
+    def test_y_sum_at_dense_cap_matches_closed_form(self, tmp_path, capsys):
+        # sum_q a_q Y_q: its eigenvalues are the signed sums of the a_q
+        a = np.sqrt(np.arange(2.0, 10.0)) / 4
+        h = Hamiltonian(8, tuple(PauliTerm(float(a_q), PauliString.from_ops(8, {q: "Y"}))
+                                 for q, a_q in enumerate(a)))
+        signs = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
+        closed_form = np.sort(signs @ a)
+        m = to_dense(h)
+        assert np.abs(m.imag).max() > 0.1
+        assert np.abs(eigenvalues(m) - closed_form).max() <= 1e-12
+        ham = str(tmp_path / "h.json")
+        save_hamiltonian(h, ham)
+        assert main(["eigen", "--ham", ham, "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        values = json.load(open(tmp_path / "eigenvalues.json"))["eigenvalues"]
+        assert np.abs(np.array(values) - closed_form).max() <= 1e-12
 
     def test_over_dense_cap_exit_2(self, tmp_path, capsys):
         ham = str(tmp_path / "h.json")

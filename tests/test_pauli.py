@@ -187,6 +187,14 @@ class TestEigenvalues:
     def test_edge_cases_match_eigvalsh(self, m, tol):
         assert np.abs(eigenvalues(m) - np.linalg.eigvalsh(m)).max() <= tol
 
+    @pytest.mark.parametrize("m", [
+        np.diag([np.nan, 1.0]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+    ], ids=["nan-diagonal", "inf-off-diagonal"])
+    def test_non_finite_rejected(self, m):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues(m)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -34,6 +34,7 @@ from h2vqe.sim import (
     DenseAnsatz,
     NoiseModel,
     _walk_from_zero,
+    pcg64_seed_states,
     post_rotations,
     run_noisy,
     walk_groups,
@@ -750,7 +751,7 @@ class TestSeedBlocks:
         monkeypatch.setattr(vqe_mod, "_SEED_BLOCK", block)
         evaluator = arm_evaluator(ham, n, noise)
         params = np.linspace(-1.1, 0.6, evaluator.parameter_count())
-        assert block + 1 < 100  # seed 0 alone, a block from 1, one more or several
+        assert block + 1 < 100  # a block from 0, then one more or several
         self.assert_streams(evaluator, params, [[31337, 1, 0], [31337, 1, 1]])
         assert len(evaluator._seed_states) == block
         self.assert_streams(evaluator, params, [[31337, 1, i] for i in range(2, 100)])
@@ -775,6 +776,42 @@ class TestSeedBlocks:
             [7, 2**32 - 3], [7, 2**32 - 2], [7, 2**32 - 1], [7, 2**32], [7, 2**32 + 1],
             2**32 - 2, 2**32 - 1, 2**32,
         ])
+
+
+@pytest.mark.parametrize("ham, noise, optimizer", [
+    ("4q", NoiseModel(), OptimizerConfig(method="spsa", max_iterations=150)),
+    ("2q", NoiseModel(readout_enabled=True), OptimizerConfig(method="cobyla")),
+], ids=["ideal-4q-spsa", "readout-2q-cobyla"])
+def test_run_derives_one_block_per_64_evaluations(monkeypatch, ham, noise, optimizer):
+    """E evaluations at indices 0 .. E - 1 take ceil(E / 64) blocks, and the
+    final counts one more."""
+    calls = []
+
+    def counted(columns):
+        calls.append(columns.shape[1])
+        return pcg64_seed_states(columns)
+
+    monkeypatch.setattr(vqe_mod, "pcg64_seed_states", counted)
+    cfg = VqeConfig(hamiltonian=ham, ansatz=AnsatzSpec(n_qubits=int(ham[0])),
+                    shots=64, noise=noise, optimizer=optimizer, seed=7)
+    evaluations = run_vqe(cfg).evaluations
+    assert len(calls) == -(-evaluations // vqe_mod._SEED_BLOCK) + 1
+
+
+def test_analytic_evaluation_builds_no_noise_model(monkeypatch):
+    evaluator = arm_evaluator("4q", 4, NoiseModel(gate_enabled=True))
+    params = np.linspace(-0.3, 0.8, evaluator.parameter_count())
+    built = []
+    post_init = NoiseModel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(NoiseModel, "__post_init__", counted)
+    for _ in range(3):
+        evaluator.evaluate_analytic(params)
+    assert built == []
 
 
 def test_analytic_evaluation_leaves_numpy_random_unloaded():
