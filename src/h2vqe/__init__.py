@@ -29,7 +29,6 @@ from .sim import (
     run_noisy,
 )
 from .similarity import (
-    EnergyBands,
     batch_average_similarity,
     classify_energy,
     jt_index,
@@ -48,12 +47,12 @@ from .vqe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzSpec", "BitOrder", "Circuit", "CountsVector", "EnergyBands",
-    "EnergyEstimate", "EnergyEvaluator", "Gate", "Hamiltonian",
-    "MeasurementGroup", "NoiseModel", "OptimizerConfig", "PauliString",
-    "PauliTerm", "Trace", "VqeConfig", "VqeResult", "apply_circuit",
-    "batch_average_similarity", "build_circuit", "classify_energy",
-    "eigenvalues", "energy_from_counts", "group_terms", "h2_2qubit",
-    "h2_4qubit", "jt_index", "minimize", "parameter_count", "post_rotations",
-    "resolve_bit_order", "run_noisy", "run_vqe", "sqrt_dot", "to_dense",
+    "AnsatzSpec", "BitOrder", "Circuit", "CountsVector", "EnergyEstimate",
+    "EnergyEvaluator", "Gate", "Hamiltonian", "MeasurementGroup",
+    "NoiseModel", "OptimizerConfig", "PauliString", "PauliTerm", "Trace",
+    "VqeConfig", "VqeResult", "apply_circuit", "batch_average_similarity",
+    "build_circuit", "classify_energy", "eigenvalues", "energy_from_counts",
+    "group_terms", "h2_2qubit", "h2_4qubit", "jt_index", "minimize",
+    "parameter_count", "post_rotations", "resolve_bit_order", "run_noisy",
+    "run_vqe", "sqrt_dot", "to_dense",
 ]

@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -71,13 +71,11 @@ class RunRecord:
     noise: str
     status: str = "ok"
 
-    FIELDS = (
-        "run_index", "seed", "energy_ha", "band", "evaluations",
-        "optimizer", "ansatz", "noise", "status",
-    )
-
     def to_row(self) -> list[str]:
         return [str(getattr(self, name)) for name in self.FIELDS]
+
+
+RunRecord.FIELDS = tuple(f.name for f in dataclass_fields(RunRecord))  # runs.csv header
 
 
 def derive_run_seed(base_seed: int, run_index: int) -> int:

@@ -211,21 +211,19 @@ def cobyla_minimize(fn, x0, cfg: OptimizerConfig, seed, trace: Trace):
             pts[bad + 1] = cand
             continue
         gnorm = math.sqrt(g.dot(g))
-        if gnorm * rho < 1e-14:
-            if rho <= rhoend:
-                break
-            rho = max(0.5 * rho, rhoend)
-            continue
-        cand = pts[0] - rho * g / gnorm
-        predicted = rho * gnorm
-        fc = fn(cand)
-        if fc < vals[-1]:
-            pts[-1] = cand
-            vals[-1] = fc
-        if vals[0] - fc <= 0.1 * predicted:
-            if rho <= rhoend:
-                break
-            rho = max(0.5 * rho, rhoend)
+        # negated comparisons, so that a NaN gradient or value never shrinks rho
+        if not gnorm * rho < 1e-14:
+            cand = pts[0] - rho * g / gnorm
+            fc = fn(cand)
+            if fc < vals[-1]:
+                pts[-1] = cand
+                vals[-1] = fc
+            if not vals[0] - fc <= 0.1 * (rho * gnorm):
+                continue
+        # a zero gradient or a poor step: rho halves, or the search ends
+        if rho <= rhoend:
+            break
+        rho = max(0.5 * rho, rhoend)
 
 
 def _cobyla_geometry(edges: np.ndarray, dvals: np.ndarray, rho: float):

@@ -253,8 +253,8 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():  # before arithmetic that would warn on NaN
         raise ValueError("matrix has non-finite entries")
-    scale = max(np.abs(m).max(), 1.0)  # the largest entry, or 1 if smaller
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+    scale = np.abs(m).max(initial=1.0)  # the largest entry, or 1 if smaller
+    if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
@@ -276,23 +276,16 @@ def group_terms(
         if term.string.is_identity:
             identity += term.coefficient
             continue
-        placed = False
+        labels, support = term.string.labels, term.string.support
         for basis, members in open_groups:
-            ok = all(
-                basis[q] is None or basis[q] == term.string.labels[q]
-                for q in term.string.support
-            )
-            if ok:
-                for q in term.string.support:
-                    basis[q] = term.string.labels[q]
-                members.append(term)
-                placed = True
+            if all(basis[q] is None or basis[q] == labels[q] for q in support):
                 break
-        if not placed:
-            basis = [None] * h.n_qubits
-            for q in term.string.support:
-                basis[q] = term.string.labels[q]
-            open_groups.append((basis, [term]))
+        else:
+            basis, members = [None] * h.n_qubits, []
+            open_groups.append((basis, members))
+        for q in support:
+            basis[q] = labels[q]
+        members.append(term)
     groups = tuple(
         MeasurementGroup(
             group_id=i,

@@ -192,17 +192,12 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return _walk(state, circuit.gates, circuit.n_qubits, 2)
 
 
-def _zero(n: int, k: int) -> np.ndarray:
-    """|0...0> (k = 2) or its rho (k = 4) as float64 walk input."""
+def _walk_from_zero(circuit: Circuit, k: int, f1=1.0, f2=1.0) -> np.ndarray:
+    """The walk from |0...0> (k = 2) or its rho (k = 4), float64 unless an rz ran."""
+    n = circuit.n_qubits
     r = np.zeros(k**n)
     r[0] = 1.0
-    return r
-
-
-def _walk_from_zero(circuit: Circuit, k: int, f1=1.0, f2=1.0) -> np.ndarray:
-    """The walk from |0...0> (or its rho), float64 unless an rz ran."""
-    n = circuit.n_qubits
-    return _walk(_zero(n, k), circuit.gates, n, k, f1, f2)
+    return _walk(r, circuit.gates, n, k, f1, f2)
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -226,9 +221,9 @@ class NoiseModel:
     """Depolarizing gate errors plus classical readout bit-flips.
 
     ``readout`` is one (p_flip_0to1, p_flip_1to0) pair applied to every
-    qubit, or a tuple of such pairs, one per qubit. Models that sample
-    alike compare equal: the rates of a disabled channel are ignored, and a
-    single per-qubit pair equals the flat pair.
+    qubit, or one such pair per qubit, stored as floats. Models that
+    sample alike compare equal: the rates of a disabled channel are
+    ignored, and a single per-qubit pair equals the flat pair.
     """
 
     gate_enabled: bool = False
@@ -239,13 +234,21 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         validate(self)
-        for p01, p10 in self._readout_pairs():
+        try:
+            per_qubit = isinstance(self.readout[0], (tuple, list))
+            pairs = tuple((float(a), float(b))
+                          for a, b in (self.readout if per_qubit else (self.readout,)))
+        except (IndexError, TypeError, ValueError):
+            raise ValueError(f"readout must be a (p01, p10) pair or one per qubit, "
+                             f"not {self.readout!r}") from None
+        for p01, p10 in pairs:
             if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
                 raise ValueError(f"readout probability ({p01}, {p10}) outside [0, 1]")
-        # not a field, so to_dict, parse and dataclasses.replace do not see it
+        object.__setattr__(self, "readout", pairs if per_qubit else pairs[0])
+        # not fields, so to_dict, parse and dataclasses.replace do not see them
+        object.__setattr__(self, "_pairs", pairs)
         gate = (self.p1, self.p2) if self.gate_enabled else None
-        readout = self._readout_pairs() if self.readout_enabled else None
-        object.__setattr__(self, "_key", (gate, readout))
+        object.__setattr__(self, "_key", (gate, pairs if self.readout_enabled else None))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NoiseModel) and self._key == other._key
@@ -253,15 +256,9 @@ class NoiseModel:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def _readout_pairs(self) -> tuple[tuple[float, float], ...]:
-        if self.readout and isinstance(self.readout[0], (tuple, list)):
-            return tuple((float(a), float(b)) for a, b in self.readout)
-        a, b = self.readout
-        return ((float(a), float(b)),)
-
     def readout_probs(self, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
         """(p_flip_0to1, p_flip_1to0) arrays, one entry per qubit."""
-        pairs = self._readout_pairs()
+        pairs = self._pairs
         if len(pairs) == 1:
             pairs = pairs * n_qubits
         if len(pairs) != n_qubits:
@@ -318,7 +315,7 @@ class NoiseModel:
 
     def to_dict(self) -> dict:
         gate = {"p1": self.p1, "p2": self.p2} if self.gate_enabled else False
-        readout, pairs = False, self._readout_pairs()
+        readout, pairs = False, self._pairs
         if self.readout_enabled and len(pairs) == 1:
             readout = {"p01": pairs[0][0], "p10": pairs[0][1]}
         elif self.readout_enabled:
@@ -330,9 +327,8 @@ class NoiseModel:
         if self.gate_enabled:
             parts.append(f"gate(p1={self.p1:g},p2={self.p2:g})")
         if self.readout_enabled:
-            pairs = self._readout_pairs()
-            if len(pairs) == 1:
-                parts.append(f"readout(p01={pairs[0][0]:g},p10={pairs[0][1]:g})")
+            if len(self._pairs) == 1:
+                parts.append("readout(p01={:g},p10={:g})".format(*self._pairs[0]))
             else:
                 parts.append("readout(per-qubit)")
         return "+".join(parts) if parts else "ideal"
@@ -487,10 +483,12 @@ def _confusion_maps(noise: NoiseModel, n: int) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(np.array([[1.0 - a, b], [a, 1.0 - b]])) for a, b in pairs)
 
 
-def _depolarizing_factors(noise: NoiseModel) -> tuple[float, float]:
-    """(f1, f2) = 1 - 4p/3 for p = p1 and p2, or (1, 1) with gate errors off."""
-    p1, p2 = (noise.p1, noise.p2) if noise.gate_enabled else (0.0, 0.0)
-    return 1.0 - 4.0 * p1 / 3.0, 1.0 - 4.0 * p2 / 3.0
+def _walk_setting(noise: NoiseModel) -> tuple[int, float, float]:
+    """(k, f1, f2): rho with f = 1 - 4p/3 for p = p1 and p2 when gate noise
+    is active, else the statevector with (f1, f2) = (1, 1)."""
+    if not noise.gate_active:
+        return 2, 1.0, 1.0
+    return 4, 1.0 - 4.0 * noise.p1 / 3.0, 1.0 - 4.0 * noise.p2 / 3.0
 
 
 def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -501,13 +499,8 @@ def density_matrix(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     with p = p1 after one-qubit gates and p = p2 after a CX. The result is
     the ordinary 2^n x 2^n matrix, gathered from the interleaved layout.
     """
-    rho = _walk_from_zero(circuit, 4, *_depolarizing_factors(noise))
+    rho = _walk_from_zero(circuit, 4, *_walk_setting(noise)[1:])
     return rho[_interleaved_index(circuit.n_qubits)].astype(complex, copy=False)
-
-
-def _walk_setting(noise: NoiseModel) -> tuple[int, float, float]:
-    """(k, f1, f2): rho when gate noise is active, else the statevector."""
-    return (4, *_depolarizing_factors(noise)) if noise.gate_active else (2, 1.0, 1.0)
 
 
 def walk_groups(circuit: Circuit, tails, noise: NoiseModel) -> list[np.ndarray]:

@@ -10,8 +10,6 @@ erroneous remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sim import CountsVector
@@ -22,21 +20,6 @@ EXCITED_BAND = (-1.30, -1.20)
 BAND_GROUND = "ground"
 BAND_EXCITED = "excited"
 BAND_ERRONEOUS = "erroneous"
-
-
-@dataclass(frozen=True)
-class EnergyBands:
-    """Closed classification intervals in Hartree; must not overlap."""
-
-    ground: tuple[float, float] = GROUND_BASIN
-    excited: tuple[float, float] = EXCITED_BAND
-
-    def __post_init__(self) -> None:
-        for lo, hi in (self.ground, self.excited):
-            if lo > hi:
-                raise ValueError("band bounds out of order")
-        if not (self.ground[1] < self.excited[0] or self.excited[1] < self.ground[0]):
-            raise ValueError("bands overlap")
 
 
 def probability_vector(values) -> np.ndarray:
@@ -97,12 +80,12 @@ def batch_average_similarity(batch, measure="jt") -> np.ndarray:
     return np.array([row_fn(u, vectors).mean() for u in vectors])
 
 
-def classify_energy(energy: float, bands: EnergyBands | None = None) -> str:
+def classify_energy(energy: float) -> str:
+    """Band of an H2 energy in Hartree; both bands are closed intervals."""
     if not np.isfinite(energy):
         raise ValueError("non-finite energy")
-    bands = bands or EnergyBands()
-    if bands.ground[0] <= energy <= bands.ground[1]:
+    if GROUND_BASIN[0] <= energy <= GROUND_BASIN[1]:
         return BAND_GROUND
-    if bands.excited[0] <= energy <= bands.excited[1]:
+    if EXCITED_BAND[0] <= energy <= EXCITED_BAND[1]:
         return BAND_EXCITED
     return BAND_ERRONEOUS

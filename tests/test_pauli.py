@@ -170,22 +170,26 @@ class TestEigenvalues:
         assert np.abs(eigenvalues(m) - np.sort(np.linalg.eigvalsh(m))).max() < 1e-9
 
     def test_tiny_off_diagonals(self):
-        # total minus diagonal sum of squares cancels to -3.6e-15 here
+        # two equal diagonal entries split by 1e-9 couplings: the near-degenerate
+        # pair must still come out ascending
         m = np.full((4, 4), 1e-9)
         np.fill_diagonal(m, [1.0, 3.0, 3.0, 0.1])
         assert np.abs(eigenvalues(m) - np.sort(np.linalg.eigvalsh(m))).max() < 1e-12
 
     @pytest.mark.parametrize("m, tol", [
         (np.array([[2.5]]), 1e-12),
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-12),  # exact zero pivot
-        (np.zeros((4, 4)), 1e-12),  # zero Householder columns
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-12),  # zero diagonal, spectrum +-1
+        (np.zeros((4, 4)), 1e-12),  # all zero: the Hermiticity scale falls back to 1
         (np.eye(5), 1e-12),  # degenerate spectrum
-        (np.kron(np.eye(2), [[2.0, 1.0], [1.0, 2.0]]), 1e-12),  # zero column mid-way
+        (np.kron(np.eye(2), [[2.0, 1.0], [1.0, 2.0]]), 1e-12),  # blocks' values interleave
         (np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]]), 1e-12),
         (random_hermitian(256, np.random.default_rng(8)), 1e-9),  # the 8q cap
-    ], ids=["1x1", "swap", "zero", "eye5", "block", "complex2", "complex256"])
+        (np.zeros((0, 0)), 1e-12),  # no entries: an empty spectrum, not an error
+    ], ids=["1x1", "swap", "zero", "eye5", "block", "complex2", "complex256", "empty"])
     def test_edge_cases_match_eigvalsh(self, m, tol):
-        assert np.abs(eigenvalues(m) - np.linalg.eigvalsh(m)).max() <= tol
+        ev = eigenvalues(m)
+        assert ev.shape == (len(m),) and ev.dtype == np.float64
+        assert np.abs(ev - np.linalg.eigvalsh(m)).max(initial=0.0) <= tol
 
     @pytest.mark.parametrize("m", [
         np.diag([np.nan, 1.0]),

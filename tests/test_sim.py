@@ -854,6 +854,21 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(readout=(0.2, -0.1))
 
+    def test_readout_copied_from_caller(self):
+        r = [[0.1, 0.2], [0.3, 0.4]]
+        nm = NoiseModel(readout_enabled=True, readout=r)
+        r[0][0], r[1][1] = 0.9, 5.0  # neither reaches the model
+        assert nm.readout == ((0.1, 0.2), (0.3, 0.4))
+        assert nm.to_dict()["readout_errors"] == {"per_qubit": [[0.1, 0.2], [0.3, 0.4]]}
+        assert nm.readout_probs(2)[0].tolist() == [0.1, 0.3]
+        assert NoiseModel(readout=[1, 0]).readout == (1.0, 0.0)
+
+    @pytest.mark.parametrize("readout", [(), (0.1,), ((0.1, 0.2, 0.3),), "ab", None],
+                             ids=["empty", "one", "triple", "str", "none"])
+    def test_malformed_readout_rejected(self, readout):
+        with pytest.raises(ValueError, match="readout"):
+            NoiseModel(readout=readout)
+
     def test_per_qubit_readout(self):
         nm = NoiseModel(readout=((0.1, 0.0), (0.0, 0.2)))
         p01, p10 = nm.readout_probs(2)

@@ -12,7 +12,6 @@ from h2vqe.similarity import (
     BAND_ERRONEOUS,
     BAND_EXCITED,
     BAND_GROUND,
-    EnergyBands,
     batch_average_similarity,
     classify_energy,
     jt_index,
@@ -164,16 +163,6 @@ class TestClassification:
         assert classify_energy(-1.90) == BAND_GROUND
         assert classify_energy(-1.70) == BAND_GROUND
         assert classify_energy(-1.20) == BAND_EXCITED
-
-    def test_custom_bands(self):
-        bands = EnergyBands(ground=(-3.0, -2.5), excited=(-2.0, -1.5))
-        assert classify_energy(-2.7, bands) == BAND_GROUND
-        assert classify_energy(-1.842, bands) == BAND_EXCITED
-        assert classify_energy(-2.2, bands) == BAND_ERRONEOUS
-
-    def test_overlapping_bands_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyBands(ground=(-1.9, -1.25), excited=(-1.3, -1.2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
